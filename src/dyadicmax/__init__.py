@@ -19,7 +19,6 @@ from .crystal import (
     suffix,
 )
 from .dyadic import (
-    DyadicInterval,
     DyadicRational,
     DyadicSet1D,
     interval_set,

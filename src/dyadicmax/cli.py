@@ -26,9 +26,19 @@ EXIT_CHECK_FAILED = 5
 BUDGET_ENV = "DYADICMAX_CELL_BUDGET"
 
 
-def _default_budget() -> int:
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_CELL_BUDGET
+def _cell_budget(text: str) -> int:
+    """Parse a cell budget from --budget or from BUDGET_ENV; argparse runs
+    this on the flag's value and on the string default alike."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise argparse.ArgumentTypeError(
+            f"cell budget must be a positive integer, got {text!r} "
+            f"(from --budget or {BUDGET_ENV})"
+        )
+    return budget
 
 
 def _parse_int_set(text: str) -> frozenset[int]:
@@ -153,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_crystal)
 
     def common(sp):
-        sp.add_argument("--budget", type=int, default=_default_budget(),
+        sp.add_argument("--budget", type=_cell_budget,
+                        default=os.environ.get(BUDGET_ENV) or str(DEFAULT_CELL_BUDGET),
                         help="cell budget for rasterization grids")
         sp.add_argument("--out", help="write a JSON report here")
         sp.add_argument("--csv", help="write a CSV report here")

@@ -20,7 +20,7 @@ from .dyadic import (
     oscillation_set,
     set_intersect,
 )
-from .errors import ParameterError
+from .errors import ConstructionError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def build_crystal(A: ScaleSet) -> Crystal1D:
         s = set_intersect(s, oscillation_set(a, r, L))
     c = Crystal1D(A, s)
     # exact halving law; a failure here is an internal bug
-    assert c.measure() == DyadicRational.pow2(A.max - (len(A) - 1))
+    if c.measure() != DyadicRational.pow2(A.max - (len(A) - 1)):
+        raise ConstructionError(f"crystal over {A.scales} breaks the halving law")
     return c
 
 

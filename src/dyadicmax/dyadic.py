@@ -51,9 +51,6 @@ class DyadicRational:
             return Fraction(self.mantissa * (1 << self.exponent))
         return Fraction(self.mantissa, 1 << -self.exponent)
 
-    def __float__(self) -> float:
-        return float(self.as_fraction())
-
     def scale2(self, k: int) -> "DyadicRational":
         """Multiply by 2^k (exact)."""
         if self.mantissa == 0:
@@ -103,26 +100,6 @@ class DyadicRational:
         return f"{self.mantissa}*2^{self.exponent}"
 
 
-ZERO = DyadicRational(0, 0)
-ONE = DyadicRational(1, 0)
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The interval [offset, offset + 2^scale]; anchored when offset = 0."""
-
-    scale: int
-    offset: DyadicRational = ZERO
-
-    @property
-    def length(self) -> DyadicRational:
-        return DyadicRational.pow2(self.scale)
-
-    @property
-    def right(self) -> DyadicRational:
-        return self.offset + self.length
-
-
 @dataclass(frozen=True)
 class DyadicSet1D:
     """Union of aligned cells of size 2^resolution inside [0, 2^extent].
@@ -157,9 +134,6 @@ class DyadicSet1D:
     def cells(self) -> list[int]:
         return [i for i in range(self.ncells) if (self.bits >> i) & 1]
 
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
     def refine(self, resolution: int) -> "DyadicSet1D":
         """Re-express on a finer grid; measure is preserved exactly."""
         if resolution > self.resolution:
@@ -176,10 +150,6 @@ class DyadicSet1D:
             b &= b - 1
         return DyadicSet1D(resolution, self.extent, bits)
 
-    def complement(self) -> "DyadicSet1D":
-        full = (1 << self.ncells) - 1
-        return DyadicSet1D(self.resolution, self.extent, full & ~self.bits)
-
 
 def _check_same_grid(x: DyadicSet1D, y: DyadicSet1D) -> None:
     if (x.resolution, x.extent) != (y.resolution, y.extent):
@@ -187,14 +157,6 @@ def _check_same_grid(x: DyadicSet1D, y: DyadicSet1D) -> None:
             f"grid mismatch: ({x.resolution},{x.extent}) vs "
             f"({y.resolution},{y.extent}); refine explicitly first"
         )
-
-
-def common_grid(x: DyadicSet1D, y: DyadicSet1D) -> tuple[DyadicSet1D, DyadicSet1D]:
-    """Refine both sets to the finer of the two resolutions (equal extents only)."""
-    if x.extent != y.extent:
-        raise GridMismatchError("extents differ; no common bounding interval")
-    r = min(x.resolution, y.resolution)
-    return x.refine(r), y.refine(r)
 
 
 def set_intersect(x: DyadicSet1D, y: DyadicSet1D) -> DyadicSet1D:

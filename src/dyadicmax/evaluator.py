@@ -21,24 +21,15 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .crystal import CrystalND, Shape, crystal_measure
 from .dyadic import DyadicRational
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, ConstructionError, ParameterError
 
 DEFAULT_CELL_BUDGET = 1 << 30
-
-
-def _dyadic_from_fraction(q: Fraction) -> DyadicRational:
-    den = q.denominator
-    e = den.bit_length() - 1
-    if den != 1 << e:
-        raise ParameterError(f"{q} is not a dyadic rational")
-    return DyadicRational(q.numerator, -e)
 
 
 @dataclass(frozen=True)
@@ -139,13 +130,14 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
         axes.append(axis)
     values = reduce(lambda acc, a: acc[..., None] & a, axes[1:], axes[0])
     mask = BitMask(grid, values)
-    assert mask.measure() == crystal_measure(E)
+    if mask.measure() != crystal_measure(E):
+        raise ConstructionError("rasterized measure differs from the crystal measure")
     return mask
 
 
 def prefix_sums(mask: BitMask) -> np.ndarray:
-    """Zero-padded inclusion-exclusion prefix table: entry i holds the
-    count of set cells in the half-open box [0, i)."""
+    """Zero-padded prefix table: entry i holds the count of set cells in
+    the half-open box [0, i)."""
     P = mask.values.astype(np.int64)
     for ax in range(P.ndim):
         P = np.cumsum(P, axis=ax)
@@ -153,33 +145,27 @@ def prefix_sums(mask: BitMask) -> np.ndarray:
 
 
 def box_sum(P: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
-    """Count of set cells in the half-open cell box [lo, hi)."""
-    n = P.ndim
-    total = 0
-    for corner in product((0, 1), repeat=n):
-        sign = (-1) ** (n - sum(corner))
-        idx = tuple(h if c else l for c, l, h in zip(corner, lo, hi))
-        total += sign * int(P[idx])
-    return total
+    """Count of set cells in the half-open cell box [lo, hi): one prefix
+    difference per axis, since box counts are separable."""
+    S = P
+    for l, h in zip(lo, hi):
+        S = S[h] - S[l]
+    return int(S)
 
 
 def _window_counts(P: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     """Counts over all cell-aligned window placements overlapping the box,
-    anchors p_j in [-(w_j - 1), N_j - 1]; out-of-box cells count as zero."""
-    n = P.ndim
-    sizes = tuple(d - 1 for d in P.shape)  # grid cell counts
-    los, his = [], []
-    for w, N in zip(window, sizes):
+    anchors p_j in [-(w_j - 1), N_j - 1]; out-of-box cells count as zero.
+    Each axis in turn is replaced by its prefix difference over the
+    window, clipped to the box."""
+    S = P
+    for ax, w in enumerate(window):
+        N = P.shape[ax] - 1  # grid cell count along the axis
         p = np.arange(-(w - 1), N)
-        los.append(np.clip(p, 0, N))
-        his.append(np.clip(p + w, 0, N))
-    out = None
-    for corner in product((0, 1), repeat=n):
-        sign = (-1) ** (n - sum(corner))
-        idx = [h if c else l for c, l, h in zip(corner, los, his)]
-        term = sign * P[np.ix_(*idx)]
-        out = term if out is None else out + term
-    return out
+        S = np.take(S, np.clip(p + w, 0, N), axis=ax) - np.take(
+            S, np.clip(p, 0, N), axis=ax
+        )
+    return S
 
 
 def _sliding_max_forward(a: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -256,80 +242,41 @@ def superlevel_measure(
     return DyadicRational(count, fieldobj.grid.cell_volume_exponent)
 
 
-EXACT_UNION_LIMIT = 20
-
-
 @dataclass(frozen=True)
 class AnchoredUnion:
     union: DyadicRational
     differences: tuple[DyadicRational, ...]  # |R_i \ union of the others|
 
 
-def _ie_union(shapes: list[Shape]) -> DyadicRational:
-    """Inclusion-exclusion over all 2^N subsets; the intersection of
-    anchored boxes is the componentwise-min box.  Subset minima are built
-    by a highest-bit recurrence, and the signed powers of two are binned
-    by exponent so the final sum is exact."""
-    N = len(shapes)
-    n_axes = len(shapes[0])
-    nsub = 1 << N
-    exp_sum = np.zeros(nsub, dtype=np.int64)
-    for j in range(n_axes):
-        e = [s.exponents[j] for s in shapes]
-        M = np.empty(nsub, dtype=np.int64)
-        M[0] = np.iinfo(np.int64).max
-        for b in range(N):
-            np.minimum(M[: 1 << b], e[b], out=M[1 << b : 1 << (b + 1)])
-        exp_sum[1:] += M[1:]
-    pop = np.zeros(nsub, dtype=np.int8)
-    for b in range(N):
-        pop[1 << b : 1 << (b + 1)] = pop[: 1 << b] + 1
-    sign = np.where(pop[1:] % 2 == 1, 1, -1).astype(np.int64)
-    lo = int(exp_sum[1:].min())
-    coef = np.bincount(exp_sum[1:] - lo, weights=sign).astype(np.int64)
-    total = DyadicRational(0, 0)
-    for k, c in enumerate(coef):
-        if c:
-            total = total + DyadicRational(int(c), lo + k)
-    return total
-
-
-def _grid_union(shapes: list[Shape]) -> DyadicRational:
-    """Coordinate-compressed exact union measure of anchored boxes."""
-    n_axes = len(shapes[0])
-    bounds = []
-    widths = []
-    for j in range(n_axes):
-        exps = sorted({s.exponents[j] for s in shapes})
-        edges = [Fraction(0)] + [Fraction(2) ** e for e in exps]
-        bounds.append([Fraction(2) ** e for e in exps])
-        widths.append([b - a for a, b in zip(edges, edges[1:])])
-    covered = np.zeros(tuple(len(w) for w in widths), dtype=bool)
-    for s in shapes:
-        sl = tuple(
-            slice(0, sum(1 for b in bounds[j] if b <= Fraction(2) ** s.exponents[j]))
-            for j in range(n_axes)
-        )
-        covered[sl] = True
-    total = Fraction(0)
-    for idx in np.argwhere(covered):
-        total += math.prod(
-            (widths[j][i] for j, i in enumerate(idx)), start=Fraction(1)
-        )
-    return _dyadic_from_fraction(total)
-
-
 def union_measure(shapes) -> DyadicRational:
-    """Exact measure of the union of anchored boxes; inclusion-exclusion
-    for small collections, compressed grid beyond EXACT_UNION_LIMIT."""
+    """Exact measure of the union of anchored boxes [0, 2^e_1] x ... .
+
+    Each axis is compressed to its distinct exponents e_(0) < e_(1) < ...;
+    compressed cell k spans [2^e_(k-1), 2^e_(k)] (with 2^e_(-1) = 0) and
+    has an integer width in units of 2^e_(0).  A box covers the leading
+    cells up to its own exponent on every axis, and the covered widths
+    are multiplied and summed in Python ints."""
     shapes = list(shapes)
     if not shapes:
         return DyadicRational(0, 0)
     if len({len(s) for s in shapes}) != 1:
         raise ParameterError("shapes must share a dimension")
-    if len(shapes) <= EXACT_UNION_LIMIT:
-        return _ie_union(shapes)
-    return _grid_union(shapes)
+    ranks, widths, unit = [], [], 0
+    for col in zip(*(s.exponents for s in shapes)):
+        exps = sorted(set(col))
+        edges = [0] + [1 << (e - exps[0]) for e in exps]
+        widths.append(
+            np.array([b - a for a, b in zip(edges, edges[1:])], dtype=object)
+        )
+        ranks.append([exps.index(e) for e in col])
+        unit += exps[0]
+    covered = np.zeros(tuple(len(w) for w in widths), dtype=bool)
+    for r in zip(*ranks):
+        covered[tuple(slice(0, k + 1) for k in r)] = True
+    total = covered.astype(object)
+    for w in reversed(widths):
+        total = total @ w  # contracts the last remaining axis
+    return DyadicRational(int(total), unit)
 
 
 def anchored_union_measure(shapes) -> AnchoredUnion:
@@ -375,26 +322,45 @@ def save_field(path, obj: BitMask | AverageField) -> None:
             fh.write(obj.num.astype("<i8").tobytes())
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ParameterError(f"{path}: truncated field dump")
+    return data
+
+
 def load_field(path) -> BitMask | AverageField:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ParameterError(f"{path}: not a field dump")
-        version, kind, ndim = struct.unpack("<HBB", fh.read(4))
+        version, kind, ndim = struct.unpack("<HBB", _read_exact(fh, 4, path))
         if version != _VERSION:
             raise ParameterError(f"{path}: unsupported version {version}")
+        if kind not in (0, 1):
+            raise ParameterError(f"{path}: unknown field kind {kind}")
         res, ext = [], []
         for _ in range(ndim):
-            r, L = struct.unpack("<ii", fh.read(8))
+            r, L = struct.unpack("<ii", _read_exact(fh, 8, path))
             res.append(r)
             ext.append(L)
         grid = GridSpec(tuple(res), tuple(ext))
         if kind == 0:
-            raw = np.frombuffer(fh.read(), dtype=np.uint8)
-            bits = np.unpackbits(raw, bitorder="little")[: grid.ncells]
-            return BitMask(grid, bits.astype(bool).reshape(grid.shape))
-        (denom_exp,) = struct.unpack("<i", fh.read(4))
-        origin = struct.unpack(f"<{ndim}i", fh.read(4 * ndim))
-        num = np.frombuffer(fh.read(), dtype="<i8").astype(np.int64)
-        # anchor fields extend the grid by w-1 = -origin cells per axis
-        shape = tuple(N - o for N, o in zip(grid.shape, origin))
-        return AverageField(grid, num.reshape(shape), denom_exp, origin)
+            shape, nbytes = grid.shape, (grid.ncells + 7) // 8
+        else:
+            (denom_exp,) = struct.unpack("<i", _read_exact(fh, 4, path))
+            origin = struct.unpack(f"<{ndim}i", _read_exact(fh, 4 * ndim, path))
+            if any(o > 0 for o in origin):
+                raise ParameterError(f"{path}: positive origin {origin}")
+            # anchor fields extend the grid by w-1 = -origin cells per axis
+            shape = tuple(N - o for N, o in zip(grid.shape, origin))
+            nbytes = 8 * math.prod(shape)
+        payload = fh.read()
+    if len(payload) != nbytes:
+        raise ParameterError(
+            f"{path}: payload has {len(payload)} bytes, the grid needs {nbytes}"
+        )
+    if kind == 0:
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+        return BitMask(grid, bits[: grid.ncells].astype(bool).reshape(shape))
+    num = np.frombuffer(payload, dtype="<i8").astype(np.int64)
+    return AverageField(grid, num.reshape(shape), denom_exp, origin)

@@ -198,9 +198,7 @@ class DisjointnessResult:
     passed: bool
 
 
-def check_disjointness(
-    instance: TheoremInstance, mask_E: BitMask | None = None
-) -> DisjointnessResult:
+def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     """Independence of the primitive rectangles plus the exact overlap
     ratio of the union of the Y(i)."""
     shapes = [instance.R[i] for i in instance.indices]
@@ -328,7 +326,7 @@ def verify_theorem(
     mask_E = rasterize(inst.E, inst.grid)
     hom = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
     hom_ok = all(r.passed for r in hom)
-    disj = check_disjointness(inst, mask_E)
+    disj = check_disjointness(inst)
 
     all_shapes = sorted(generate_shapes(FamilySpec.power(n, A)), key=lambda s: s.exponents)
     used = [s for s in all_shapes if inst.grid.compatible_shape(s)]

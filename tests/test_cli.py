@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dyadicmax.cli import (
+    BUDGET_ENV,
     EXIT_CHECK_FAILED,
     EXIT_NO_PROGRESSION,
     EXIT_OK,
@@ -53,6 +54,29 @@ class TestVerifyCommand:
             ["verify", "--n", "2", "--set", "0..9", "--m", "10",
              "--budget", "16"]
         )
+        assert rc == EXIT_BUDGET
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "abc"])
+    def test_bad_budget_flag_is_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "--n", "2", "--set", "0,1,2", "--m", "3",
+                  "--budget", budget])
+        assert ei.value.code == EXIT_USAGE
+        assert "cell budget must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "abc"])
+    def test_bad_budget_env_is_usage_error(self, budget, monkeypatch, capsys):
+        monkeypatch.setenv(BUDGET_ENV, budget)
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "--n", "2", "--set", "0,1,2", "--m", "3"])
+        assert ei.value.code == EXIT_USAGE
+        assert BUDGET_ENV in capsys.readouterr().err
+
+    def test_budget_env_is_applied(self, monkeypatch):
+        from dyadicmax.cli import EXIT_BUDGET
+
+        monkeypatch.setenv(BUDGET_ENV, "16")
+        rc = main(["verify", "--n", "2", "--set", "0..9", "--m", "10"])
         assert rc == EXIT_BUDGET
 
     def test_help_exits_zero(self):

@@ -12,8 +12,8 @@ from dyadicmax.crystal import (
     product_crystal,
     suffix,
 )
-from dyadicmax.dyadic import DyadicRational, is_subset
-from dyadicmax.errors import ParameterError
+from dyadicmax.dyadic import DyadicRational, interval_set, is_subset
+from dyadicmax.errors import ConstructionError, ParameterError
 from dyadicmax.evaluator import GridSpec, rasterize
 
 scale_sets = st.lists(
@@ -91,6 +91,15 @@ class TestBuildCrystal:
                 build_crystal(part).measure()
                 == build_crystal(whole).measure().scale2(-1)
             )
+
+    def test_broken_halving_law_raises(self, monkeypatch):
+        # an oscillation that keeps every cell leaves the measure unhalved
+        monkeypatch.setattr(
+            "dyadicmax.crystal.oscillation_set",
+            lambda a, r, L: interval_set(L, r, L),
+        )
+        with pytest.raises(ConstructionError):
+            build_crystal(ScaleSet((0, 2)))
 
 
 class TestCrystalMeasure:

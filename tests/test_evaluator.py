@@ -5,14 +5,12 @@ import pytest
 
 from bruteforce import naive_anchored_union, naive_box_sum, naive_maximal
 from dyadicmax.crystal import ScaleSet, Shape, crystal_measure, product_crystal
-from dyadicmax.dyadic import DyadicRational
-from dyadicmax.errors import BudgetExceededError, ParameterError
+from dyadicmax.dyadic import DyadicRational, DyadicSet1D
+from dyadicmax.errors import BudgetExceededError, ConstructionError, ParameterError
 from dyadicmax.evaluator import (
     AverageField,
     BitMask,
     GridSpec,
-    _grid_union,
-    _ie_union,
     anchored_union_measure,
     box_sum,
     load_field,
@@ -87,6 +85,15 @@ class TestRasterize:
         with pytest.raises(ParameterError):
             rasterize(E, GridSpec((1,), (2,)))
 
+    def test_measure_mismatch_raises(self, monkeypatch):
+        E = product_crystal(ScaleSet((0, 2)), ScaleSet((0, 1)))
+        # a refinement that drops every cell breaks the measure check
+        monkeypatch.setattr(
+            DyadicSet1D, "refine", lambda self, r: DyadicSet1D(r, self.extent, 0)
+        )
+        with pytest.raises(ConstructionError):
+            rasterize(E, GridSpec((0, 0), (2, 1)))
+
 
 class TestPrefixSums:
     def test_full_box_is_popcount(self):
@@ -127,7 +134,12 @@ class TestShapeAverageField:
         assert np.array_equal(fld.num > 0, mask.values)
 
     def test_against_naive_sliding_windows(self):
-        for shape, rect in [((16,), (2,)), ((8, 16), (1, 3)), ((4, 8, 8), (2, 0, 1))]:
+        for shape, rect in [
+            ((16,), (2,)),
+            ((8, 16), (1, 3)),
+            ((4, 8, 8), (2, 0, 1)),
+            ((4, 2, 4, 8), (1, 1, 0, 2)),
+        ]:
             mask = random_mask(shape)
             fld = shape_average_field(mask, Shape(rect))
             window = tuple(1 << e for e in rect)
@@ -170,6 +182,7 @@ class TestMaximalField:
             ((8, 8), [(1, 1), (3, 0)]),
             ((8, 16), [(0, 2), (2, 1), (3, 4)]),
             ((4, 4, 4), [(1, 1, 0), (2, 0, 2)]),
+            ((4, 2, 4, 4), [(1, 1, 0, 2), (2, 0, 1, 1)]),
         ]
         for shape, rects in cases:
             mask = random_mask(shape)
@@ -232,12 +245,22 @@ class TestAnchoredUnion:
             got = union_measure(shapes).as_fraction()
             assert got == naive_anchored_union(shapes)
 
-    def test_grid_fallback_matches_inclusion_exclusion(self):
+    def test_many_boxes_match_naive_oracle(self):
+        # 25 boxes on a narrow exponent range, then boxes whose exponents
+        # span [-40, 40], so cell widths overflow int64
         shapes = [
             Shape(tuple(int(e) for e in rng.integers(-3, 4, 3)))
             for _ in range(25)
         ]
-        assert _grid_union(shapes) == _ie_union(shapes)
+        assert union_measure(shapes).as_fraction() == naive_anchored_union(shapes)
+        for _ in range(10):
+            n = int(rng.integers(1, 4))
+            k = int(rng.integers(1, 26))
+            shapes = [
+                Shape(tuple(int(e) for e in rng.integers(-40, 41, n)))
+                for _ in range(k)
+            ]
+            assert union_measure(shapes).as_fraction() == naive_anchored_union(shapes)
 
     def test_empty(self):
         assert union_measure([]) == DyadicRational(0, 0)
@@ -263,3 +286,22 @@ class TestFieldDump(object):
         assert back.denom_exp == fld.denom_exp
         assert back.origin == fld.origin
         assert np.array_equal(back.num, fld.num)
+
+    def test_truncated_header_is_parameter_error(self, tmp_path):
+        p = tmp_path / "avg.dmx"
+        save_field(p, shape_average_field(random_mask((8, 8)), Shape((2, 1))))
+        whole = p.read_bytes()
+        # cut inside the version word, an axis, denom_exp and the origin
+        for cut in (6, 12, 26, 30):
+            p.write_bytes(whole[:cut])
+            with pytest.raises(ParameterError, match="truncated"):
+                load_field(p)
+
+    def test_truncated_payload_is_parameter_error(self, tmp_path):
+        mask = random_mask((8, 4))
+        for obj in (mask, shape_average_field(mask, Shape((2, 1)))):
+            p = tmp_path / "field.dmx"
+            save_field(p, obj)
+            p.write_bytes(p.read_bytes()[:-1])
+            with pytest.raises(ParameterError, match="payload"):
+                load_field(p)

@@ -17,7 +17,6 @@ from dyadicmax.verify import (
     check_homogeneity,
     cube_counterexample,
     fraction_decimal,
-    union_Y_mask,
     verify_theorem,
 )
 
