@@ -10,9 +10,12 @@ import json
 import pathlib
 import sys
 
-from dyadicmax.verify import cube_counterexample, verify_theorem
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+from dyadicmax.verify import cube_counterexample, verify_theorem  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def entry(rep):

@@ -18,20 +18,10 @@ from .crystal import (
     product_crystal,
     suffix,
 )
-from .dyadic import (
-    DyadicRational,
-    DyadicSet1D,
-    interval_set,
-    oscillation_set,
-    set_diff,
-    set_intersect,
-    set_union,
-    translate,
-)
+from .dyadic import DyadicRational
 from .errors import (
     BudgetExceededError,
     ConstructionError,
-    GridMismatchError,
     NoProgressionError,
     ParameterError,
 )

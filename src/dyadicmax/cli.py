@@ -12,9 +12,11 @@ import csv
 import os
 import sys
 
-from .crystal import ScaleSet, build_crystal
+import numpy as np
+
+from .crystal import CrystalND, ScaleSet, build_crystal
 from .errors import BudgetExceededError, NoProgressionError, ParameterError
-from .evaluator import DEFAULT_CELL_BUDGET
+from .evaluator import DEFAULT_CELL_BUDGET, GridSpec, rasterize
 from .verify import CSV_COLUMNS, cube_counterexample, fraction_decimal, verify_theorem
 
 EXIT_OK = 0
@@ -79,10 +81,12 @@ def _write_series(path: str, reports) -> None:
 def cmd_crystal(args) -> int:
     A = ScaleSet.from_text(args.scales)
     c = build_crystal(A)
+    grid = GridSpec((A.min,), (A.max,))
+    cells = np.flatnonzero(rasterize(CrystalND((c,)), grid).values).tolist()
     mu = c.measure()
     print(f"scales: {A.to_text()}")
-    print(f"resolution: 2^{c.set.resolution}  extent: [0, 2^{c.set.extent}]")
-    print(f"cells ({c.set.popcount} of {c.set.ncells}): {c.set.cells()}")
+    print(f"resolution: 2^{A.min}  extent: [0, 2^{A.max}]")
+    print(f"cells ({len(cells)} of {grid.ncells}): {cells}")
     print(f"measure: {mu} = {fraction_decimal(mu.as_fraction())}")
     return EXIT_OK
 

@@ -2,10 +2,13 @@
 
 A one-dimensional crystal over scales a_1 < ... < a_m is the anchored
 interval [0, 2^(a_m)] intersected with the oscillations at every finer
-scale a_1, ..., a_(m-1).  Each oscillation halves the measure exactly, so
-the crystal has measure 2^(a_m - (m-1)).  An n-dimensional crystal is a
-Cartesian product of one-dimensional ones, kept symbolic; rasterization
-happens in the evaluator.
+scale a_1, ..., a_(m-1); the oscillation at scale a keeps the lower half
+[0, 2^a) of every period of length 2^(a+1).  Each oscillation halves the
+measure exactly, so the crystal has measure 2^(a_m - (m-1)).  A crystal
+is kept symbolic; ``Crystal1D.cells`` materializes it as one boolean axis
+at a grid resolution by applying that rule directly.  An n-dimensional
+crystal is a Cartesian product of one-dimensional ones, rasterized in
+the evaluator.
 """
 
 from __future__ import annotations
@@ -13,14 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .dyadic import (
-    DyadicRational,
-    DyadicSet1D,
-    interval_set,
-    oscillation_set,
-    set_intersect,
-)
-from .errors import ConstructionError, ParameterError
+import numpy as np
+
+from .dyadic import DyadicRational
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -72,23 +71,35 @@ def suffix(A: ScaleSet, i: int) -> ScaleSet:
 @dataclass(frozen=True)
 class Crystal1D:
     scales: ScaleSet
-    set: DyadicSet1D
 
     def measure(self) -> DyadicRational:
-        return self.set.measure()
+        """The halving law: 2^(max - (m-1))."""
+        return DyadicRational.pow2(self.scales.max - (len(self.scales) - 1))
+
+    def cells(self, resolution: int, ncells: int) -> np.ndarray:
+        """Boolean axis of ``ncells`` cells of size 2^resolution from 0:
+        the interval [0, 2^max), then the upper half of every 2^(a+1)
+        period dropped for each finer scale a."""
+        A, r = self.scales, resolution
+        if r > A.min:
+            raise ParameterError(
+                f"grid resolution {r} coarser than crystal scale {A.min}"
+            )
+        if ncells < 1 << (A.max - r):
+            raise ParameterError(
+                f"{ncells} cells of size 2^{r} do not reach crystal extent 2^{A.max}"
+            )
+        cells = np.zeros(ncells, dtype=bool)
+        head = cells[: 1 << (A.max - r)]  # a view: writes land in cells
+        head[:] = True
+        for a in A.scales[:-1]:
+            head.reshape(-1, 2, 1 << (a - r))[:, 1] = False
+        return cells
 
 
 def build_crystal(A: ScaleSet) -> Crystal1D:
-    """Rasterize the crystal over A at resolution min(A) in [0, 2^max(A)]."""
-    r, L = A.min, A.max
-    s = interval_set(A.max, r, L)
-    for a in A.scales[:-1]:
-        s = set_intersect(s, oscillation_set(a, r, L))
-    c = Crystal1D(A, s)
-    # exact halving law; a failure here is an internal bug
-    if c.measure() != DyadicRational.pow2(A.max - (len(A) - 1)):
-        raise ConstructionError(f"crystal over {A.scales} breaks the halving law")
-    return c
+    """The crystal over A, kept symbolic: nothing is materialized."""
+    return Crystal1D(A)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A precondition on operation parameters is violated."""
 
 
-class GridMismatchError(ParameterError):
-    """Boolean set algebra was attempted on sets with different grids."""
-
-
 class BudgetExceededError(RuntimeError):
     """A grid would exceed the configured cell budget."""
 

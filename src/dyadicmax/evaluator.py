@@ -108,26 +108,9 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
     symbolic crystal measure exactly."""
     if E.dimension != grid.dimension:
         raise ParameterError("crystal/grid dimension mismatch")
-    axes = []
-    for c, r, L, n in zip(E.factors, grid.resolution, grid.extent, grid.shape):
-        if r > c.scales.min:
-            raise ParameterError(
-                f"grid resolution {r} coarser than crystal scale {c.scales.min}"
-            )
-        if c.scales.max > L:
-            raise ParameterError(
-                f"crystal extent {c.scales.max} exceeds grid extent {L}"
-            )
-        s = c.set.refine(r)
-        axis = np.zeros(n, dtype=bool)
-        raw = np.unpackbits(
-            np.frombuffer(
-                s.bits.to_bytes((s.ncells + 7) // 8, "little"), dtype=np.uint8
-            ),
-            bitorder="little",
-        )[: s.ncells]
-        axis[: s.ncells] = raw.astype(bool)
-        axes.append(axis)
+    axes = [
+        c.cells(r, n) for c, r, n in zip(E.factors, grid.resolution, grid.shape)
+    ]
     values = reduce(lambda acc, a: acc[..., None] & a, axes[1:], axes[0])
     mask = BitMask(grid, values)
     if mask.measure() != crystal_measure(E):

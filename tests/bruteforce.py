@@ -45,6 +45,19 @@ def naive_maximal(mask: np.ndarray, windows) -> list:
     return out
 
 
+def naive_crystal_cells(scales, r, L) -> list[bool]:
+    """Cell i of size 2^r in [0, 2^L] is kept iff its left endpoint x lies
+    below 2^max and floor(x / 2^a) is even for every finer scale a."""
+    keep = []
+    for i in range(2 ** (L - r)):
+        x = i * Fraction(2) ** r
+        keep.append(
+            x < Fraction(2) ** scales[-1]
+            and all((x // Fraction(2) ** a) % 2 == 0 for a in scales[:-1])
+        )
+    return keep
+
+
 def naive_anchored_union(shapes) -> Fraction:
     """Union of anchored boxes [0, 2^e] via a rational coordinate grid."""
     n = len(shapes[0])

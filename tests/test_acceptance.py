@@ -75,8 +75,8 @@ def test_criterion_1_crystal_measure_law():
         for _ in range(200):
             m = rng.randint(1, 6)
             A = ScaleSet(tuple(sorted(rng.sample(range(-6, 7), m))))
-            c = build_crystal(A)
-            assert DyadicRational(c.set.popcount, c.set.resolution) == (
+            axis = build_crystal(A).cells(A.min, 1 << (A.max - A.min))
+            assert DyadicRational(int(axis.sum()), A.min) == (
                 DyadicRational.pow2(A.max - (m - 1))
             )
 

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import contained_anchored_rectangles
+from bruteforce import contained_anchored_rectangles, naive_crystal_cells
 from dyadicmax.crystal import (
+    Crystal1D,
     ScaleSet,
     Shape,
     build_crystal,
@@ -12,13 +14,18 @@ from dyadicmax.crystal import (
     product_crystal,
     suffix,
 )
-from dyadicmax.dyadic import DyadicRational, interval_set, is_subset
+from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import ConstructionError, ParameterError
 from dyadicmax.evaluator import GridSpec, rasterize
 
 scale_sets = st.lists(
     st.integers(-6, 6), min_size=1, max_size=6, unique=True
 ).map(lambda xs: ScaleSet(tuple(sorted(xs))))
+
+
+def crystal_axis(A: ScaleSet) -> np.ndarray:
+    """The crystal over A at resolution min(A) on [0, 2^max(A)]."""
+    return build_crystal(A).cells(A.min, 1 << (A.max - A.min))
 
 
 class TestScaleSet:
@@ -50,36 +57,35 @@ class TestSuffix:
     @given(scale_sets, st.data())
     def test_containment(self, A, data):
         i = data.draw(st.integers(1, len(A)))
-        c = build_crystal(A)
-        cs = build_crystal(suffix(A, i))
-        r = min(c.set.resolution, cs.set.resolution)
-        # suffix crystal lives on a sub-interval extent; compare inside it
-        big = c.set.refine(r)
-        small = cs.set.refine(r)
-        assert big.bits & ((1 << small.ncells) - 1) & ~small.bits == 0
+        # both crystals end at 2^max(A); compare them on A's finer grid
+        n = 1 << (A.max - A.min)
+        big = build_crystal(A).cells(A.min, n)
+        small = build_crystal(suffix(A, i)).cells(A.min, n)
+        assert not (big & ~small).any()
 
 
 class TestBuildCrystal:
     def test_example_012(self):
-        c = build_crystal(ScaleSet((0, 1, 2)))
-        assert c.set.cells() == [0]
-        assert c.measure() == DyadicRational(1, 0)
+        A = ScaleSet((0, 1, 2))
+        assert np.flatnonzero(crystal_axis(A)).tolist() == [0]
+        assert build_crystal(A).measure() == DyadicRational(1, 0)
 
     def test_example_023(self):
-        c = build_crystal(ScaleSet((0, 2, 3)))
-        assert c.set.cells() == [0, 2]
-        assert c.measure() == DyadicRational(2, 0)
+        A = ScaleSet((0, 2, 3))
+        assert np.flatnonzero(crystal_axis(A)).tolist() == [0, 2]
+        assert build_crystal(A).measure() == DyadicRational(2, 0)
 
     def test_single_scale(self):
-        c = build_crystal(ScaleSet((5,)))
-        assert c.measure() == DyadicRational(1, 5)
-        assert c.set.popcount == c.set.ncells
+        A = ScaleSet((5,))
+        assert build_crystal(A).measure() == DyadicRational(1, 5)
+        assert crystal_axis(A).all()
 
     @given(scale_sets)
     @settings(max_examples=200)
     def test_measure_law(self, A):
-        c = build_crystal(A)
-        assert c.measure() == DyadicRational.pow2(A.max - (len(A) - 1))
+        law = DyadicRational.pow2(A.max - (len(A) - 1))
+        assert build_crystal(A).measure() == law
+        assert DyadicRational(int(crystal_axis(A).sum()), A.min) == law
 
     @given(scale_sets)
     def test_exact_halving(self, A):
@@ -87,19 +93,36 @@ class TestBuildCrystal:
         for i in range(1, len(A)):
             part = ScaleSet(A.scales[-(i + 1):])
             whole = ScaleSet(A.scales[-i:])
-            assert (
-                build_crystal(part).measure()
-                == build_crystal(whole).measure().scale2(-1)
-            )
+            n = 1 << (A.max - A.min)
+            kept = build_crystal(part).cells(A.min, n).sum()
+            assert 2 * kept == build_crystal(whole).cells(A.min, n).sum()
 
     def test_broken_halving_law_raises(self, monkeypatch):
-        # an oscillation that keeps every cell leaves the measure unhalved
-        monkeypatch.setattr(
-            "dyadicmax.crystal.oscillation_set",
-            lambda a, r, L: interval_set(L, r, L),
-        )
+        # a kernel that keeps one extra cell breaks the halving law
+        cells = Crystal1D.cells
+
+        def one_extra(self, resolution, ncells):
+            axis = cells(self, resolution, ncells)
+            axis[np.flatnonzero(~axis)[0]] = True
+            return axis
+
+        monkeypatch.setattr(Crystal1D, "cells", one_extra)
         with pytest.raises(ConstructionError):
-            build_crystal(ScaleSet((0, 2)))
+            rasterize(product_crystal(ScaleSet((0, 2))), GridSpec((0,), (2,)))
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=5, unique=True).map(
+            lambda xs: ScaleSet(tuple(sorted(xs)))
+        ),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cells_match_naive_oracle(self, A, finer, wider):
+        # any resolution r <= min(A) and extent L >= max(A)
+        r, L = A.min - finer, A.max + wider
+        axis = build_crystal(A).cells(r, 1 << (L - r))
+        assert axis.tolist() == naive_crystal_cells(A.scales, r, L)
 
 
 class TestCrystalMeasure:

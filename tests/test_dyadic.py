@@ -1,19 +1,31 @@
+"""Dyadic rationals, and the two building blocks of a crystal axis: the
+anchored interval [0, 2^a] is the crystal over (a,), and the oscillation
+at scale a restricted to [0, 2^L] is the crystal over (a, L)."""
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from dyadicmax.dyadic import (
-    DyadicRational,
-    DyadicSet1D,
-    interval_set,
-    is_subset,
-    oscillation_set,
-    set_diff,
-    set_intersect,
-    set_union,
-    translate,
-)
-from dyadicmax.errors import GridMismatchError, ParameterError
+from dyadicmax.crystal import Crystal1D, ScaleSet
+from dyadicmax.dyadic import DyadicRational
+from dyadicmax.errors import ParameterError
+
+
+def interval_cells(a: int, r: int, L: int) -> np.ndarray:
+    return Crystal1D(ScaleSet((a,))).cells(r, 1 << (L - r))
+
+
+def oscillation_cells(a: int, r: int, L: int) -> np.ndarray:
+    return Crystal1D(ScaleSet((a, L))).cells(r, 1 << (L - r))
+
+
+def cells(axis: np.ndarray) -> list[int]:
+    return np.flatnonzero(axis).tolist()
+
+
+def measure(axis: np.ndarray, r: int) -> DyadicRational:
+    return DyadicRational(int(axis.sum()), r)
 
 
 class TestDyadicRational:
@@ -46,122 +58,48 @@ class TestDyadicRational:
 
 class TestIntervalSet:
     def test_unit_cell(self):
-        s = interval_set(0, 0, 2)
-        assert s.cells() == [0]
-        assert s.ncells == 4
-        assert s.measure() == DyadicRational(1, 0)
+        s = interval_cells(0, 0, 2)
+        assert cells(s) == [0]
+        assert s.size == 4
+        assert measure(s, 0) == DyadicRational(1, 0)
 
     def test_full_bounding_interval(self):
-        s = interval_set(2, 0, 2)
-        assert s.cells() == [0, 1, 2, 3]
-        assert s.measure() == DyadicRational(4, 0)
+        s = interval_cells(2, 0, 2)
+        assert cells(s) == [0, 1, 2, 3]
+        assert measure(s, 0) == DyadicRational(4, 0)
 
     def test_refined_interval(self):
-        s = interval_set(1, -1, 2)
-        assert s.cells() == [0, 1, 2, 3]
-        assert s.ncells == 8
-        assert s.measure() == DyadicRational(2, 0)
+        s = interval_cells(1, -1, 2)
+        assert cells(s) == [0, 1, 2, 3]
+        assert s.size == 8
+        assert measure(s, -1) == DyadicRational(2, 0)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            interval_set(0, 1, 2)  # resolution coarser than the interval
+            interval_cells(0, 1, 2)  # resolution coarser than the interval
         with pytest.raises(ParameterError):
-            interval_set(3, 0, 2)  # interval does not fit
+            Crystal1D(ScaleSet((3,))).cells(0, 4)  # interval does not fit
 
 
 class TestOscillationSet:
     def test_unit_scale(self):
-        assert oscillation_set(0, 0, 2).cells() == [0, 2]
+        assert cells(oscillation_cells(0, 0, 2)) == [0, 2]
 
     def test_scale_one(self):
-        assert oscillation_set(1, 0, 3).cells() == [0, 1, 4, 5]
+        assert cells(oscillation_cells(1, 0, 3)) == [0, 1, 4, 5]
 
     @given(st.data())
     def test_density_exactly_half(self, data):
         a = data.draw(st.integers(-6, 6))
         r = data.draw(st.integers(a - 5, a))
         L = data.draw(st.integers(a + 1, a + 6))
-        s = oscillation_set(a, r, L)
-        assert 2 * s.popcount == s.ncells
-        assert s.measure() == DyadicRational(1, L - 1)
+        s = oscillation_cells(a, r, L)
+        assert 2 * s.sum() == s.size
+        assert measure(s, r) == DyadicRational(1, L - 1)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            oscillation_set(0, 1, 3)
+            oscillation_cells(0, 1, 3)
         with pytest.raises(ParameterError):
-            oscillation_set(2, 0, 2)  # no full period fits
+            oscillation_cells(2, 0, 2)  # no full period fits
 
-
-class TestSetAlgebra:
-    def test_intersect_example(self):
-        s = set_intersect(interval_set(2, 0, 2), oscillation_set(0, 0, 2))
-        assert s.cells() == [0, 2]
-        assert s.measure() == DyadicRational(2, 0)
-
-    def test_union_idempotent(self):
-        x = oscillation_set(0, 0, 3)
-        assert set_union(x, x) == x
-
-    def test_diff_example(self):
-        s = set_diff(interval_set(2, 0, 2), oscillation_set(0, 0, 2))
-        assert s.cells() == [1, 3]
-        assert s.measure() == DyadicRational(2, 0)
-
-    def test_mismatched_grids_refused(self):
-        with pytest.raises(GridMismatchError):
-            set_union(interval_set(0, 0, 2), interval_set(0, -1, 2))
-        with pytest.raises(GridMismatchError):
-            set_intersect(interval_set(0, 0, 2), interval_set(0, 0, 3))
-
-    @given(st.integers(0, 255), st.integers(0, 255))
-    def test_measure_additivity(self, bx, by):
-        x = DyadicSet1D(0, 3, bx)
-        y = DyadicSet1D(0, 3, by)
-        lhs = set_union(x, y).measure() + set_intersect(x, y).measure()
-        assert lhs == x.measure() + y.measure()
-
-
-class TestRefine:
-    def test_preserves_measure(self):
-        x = oscillation_set(1, 0, 3)
-        assert x.refine(-2).measure() == x.measure()
-
-    @given(st.integers(0, 255), st.integers(1, 3))
-    def test_boolean_refinement_invariance(self, bits, steps):
-        x = DyadicSet1D(0, 3, bits)
-        y = oscillation_set(0, 0, 3)
-        coarse = set_diff(set_union(x, y), set_intersect(x, y))
-        fine = set_diff(
-            set_union(x.refine(-steps), y.refine(-steps)),
-            set_intersect(x.refine(-steps), y.refine(-steps)),
-        )
-        assert fine.measure() == coarse.measure()
-        assert fine == coarse.refine(-steps)
-
-
-class TestTranslate:
-    def test_shift_example(self):
-        s, truncated = translate(interval_set(0, 0, 2), 2)
-        assert s.cells() == [2]
-        assert not truncated
-
-    def test_identity(self):
-        x = oscillation_set(0, 0, 2)
-        assert translate(x, 0) == (x, False)
-
-    @given(st.integers(0, 255), st.integers(-10, 10))
-    def test_truncation_reported(self, bits, k):
-        x = DyadicSet1D(0, 3, bits)
-        y, truncated = translate(x, k)
-        assert y.measure() <= x.measure()
-        assert truncated == (y.popcount != x.popcount)
-
-    def test_subset_helper(self):
-        assert is_subset(interval_set(0, 0, 2), interval_set(2, 0, 2))
-        assert not is_subset(interval_set(2, 0, 2), interval_set(0, 0, 2))
-
-
-@given(st.integers(0, 2**16 - 1))
-def test_measure_bounds(bits):
-    x = DyadicSet1D(-2, 2, bits)
-    assert DyadicRational(0, 0) <= x.measure() <= DyadicRational(1, 2)

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from bruteforce import naive_anchored_union, naive_box_sum, naive_maximal
-from dyadicmax.crystal import ScaleSet, Shape, crystal_measure, product_crystal
-from dyadicmax.dyadic import DyadicRational, DyadicSet1D
+from dyadicmax.crystal import (
+    Crystal1D,
+    ScaleSet,
+    Shape,
+    crystal_measure,
+    product_crystal,
+)
+from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import BudgetExceededError, ConstructionError, ParameterError
 from dyadicmax.evaluator import (
     AverageField,
@@ -87,10 +93,15 @@ class TestRasterize:
 
     def test_measure_mismatch_raises(self, monkeypatch):
         E = product_crystal(ScaleSet((0, 2)), ScaleSet((0, 1)))
-        # a refinement that drops every cell breaks the measure check
-        monkeypatch.setattr(
-            DyadicSet1D, "refine", lambda self, r: DyadicSet1D(r, self.extent, 0)
-        )
+        # a kernel that drops one kept cell breaks the measure check
+        cells = Crystal1D.cells
+
+        def one_dropped(self, resolution, ncells):
+            axis = cells(self, resolution, ncells)
+            axis[np.flatnonzero(axis)[-1]] = False
+            return axis
+
+        monkeypatch.setattr(Crystal1D, "cells", one_dropped)
         with pytest.raises(ConstructionError):
             rasterize(E, GridSpec((0, 0), (2, 1)))
 
