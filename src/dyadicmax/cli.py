@@ -27,6 +27,8 @@ EXIT_CHECK_FAILED = 5
 
 BUDGET_ENV = "DYADICMAX_CELL_BUDGET"
 
+CELL_CHUNK = 1 << 16  # mask cells per chunk of the `crystal` cell list
+
 
 def _cell_budget(text: str) -> int:
     """Parse a cell budget from --budget or from BUDGET_ENV; argparse runs
@@ -78,15 +80,29 @@ def _write_series(path: str, reports) -> None:
             fh.write(f"{rep.m} {fraction_decimal(rep.ratio)}\n")
 
 
+def _write_cell_list(values: np.ndarray) -> None:
+    """Write the indices of the set cells as a Python list literal, one
+    chunk of the mask at a time, so memory does not grow with the set."""
+    sys.stdout.write("[")
+    sep = ""
+    for start in range(0, values.size, CELL_CHUNK):
+        idx = np.flatnonzero(values[start : start + CELL_CHUNK]) + start
+        if idx.size:
+            sys.stdout.write(sep + ", ".join(map(str, idx.tolist())))
+            sep = ", "
+    sys.stdout.write("]\n")
+
+
 def cmd_crystal(args) -> int:
     A = ScaleSet.from_text(args.scales)
     c = build_crystal(A)
     grid = GridSpec((A.min,), (A.max,))
-    cells = np.flatnonzero(rasterize(CrystalND((c,)), grid).values).tolist()
+    values = rasterize(CrystalND((c,)), grid).values
     mu = c.measure()
     print(f"scales: {A.to_text()}")
     print(f"resolution: 2^{A.min}  extent: [0, 2^{A.max}]")
-    print(f"cells ({len(cells)} of {grid.ncells}): {cells}")
+    sys.stdout.write(f"cells ({int(values.sum())} of {grid.ncells}): ")
+    _write_cell_list(values)
     print(f"measure: {mu} = {fraction_decimal(mu.as_fraction())}")
     return EXIT_OK
 

@@ -9,9 +9,11 @@ and measures are exact.
 
 Only cell-aligned translates are enumerated, so every superlevel measure
 reported here is a certified lower bound for the true maximal operator.
-Rectangles overhanging the bounding box average against emptiness
-outside (exterior counts as zero), which keeps the lower-bound direction
-intact.
+Cells outside the bounding box count as zero.  Maximal fields therefore
+scan in-box placements only: an overhanging placement holds no more set
+cells than the in-box placement at its clamped anchor, which contains
+the same box cells, so skipping it changes no value.
+`shape_average_field` still reports every overhanging anchor.
 """
 
 from __future__ import annotations
@@ -121,10 +123,13 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
 def prefix_sums(mask: BitMask) -> np.ndarray:
     """Zero-padded prefix table: entry i holds the count of set cells in
     the half-open box [0, i)."""
-    P = mask.values.astype(np.int64)
-    for ax in range(P.ndim):
-        P = np.cumsum(P, axis=ax)
-    return np.pad(P, [(1, 0)] * P.ndim)
+    values = mask.values
+    P = np.zeros(tuple(n + 1 for n in values.shape), dtype=np.int64)
+    inner = P[(slice(1, None),) * values.ndim]
+    inner[...] = values  # casting once is faster than a casting cumsum
+    for ax in range(values.ndim):
+        np.cumsum(inner, axis=ax, out=inner)
+    return P
 
 
 def box_sum(P: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
@@ -136,30 +141,17 @@ def box_sum(P: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
     return int(S)
 
 
-def _window_counts(P: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
-    """Counts over all cell-aligned window placements overlapping the box,
-    anchors p_j in [-(w_j - 1), N_j - 1]; out-of-box cells count as zero.
-    Each axis in turn is replaced by its prefix difference over the
-    window, clipped to the box."""
+def _placement_counts(P: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
+    """Counts of the window placed at every in-box anchor
+    p_j in [0, N_j - w_j] of the grid whose prefix table is P: one slice
+    difference P[w:] - P[:N-w+1] per axis."""
     S = P
     for ax, w in enumerate(window):
-        N = P.shape[ax] - 1  # grid cell count along the axis
-        p = np.arange(-(w - 1), N)
-        S = np.take(S, np.clip(p + w, 0, N), axis=ax) - np.take(
-            S, np.clip(p, 0, N), axis=ax
-        )
+        hi = [slice(None)] * S.ndim
+        lo = hi.copy()
+        hi[ax], lo[ax] = slice(w, None), slice(None, -w)
+        S = S[tuple(hi)] - S[tuple(lo)]
     return S
-
-
-def _sliding_max_forward(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """out[x] = max(a[x : x+w]) along the axis; length shrinks by w - 1."""
-    if w == 1:
-        return a
-    f = maximum_filter1d(a, size=w, axis=axis, mode="nearest")
-    n_out = a.shape[axis] - w + 1
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(w // 2, w // 2 + n_out)
-    return f[tuple(sl)]
 
 
 def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
@@ -172,10 +164,15 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
 
 
 def shape_average_field(mask: BitMask, shape: Shape) -> AverageField:
-    """Exact averages |E ∩ (R + p)| / |R| over all aligned placements p."""
+    """Exact averages |E ∩ (R + p)| / |R| over all aligned placements p
+    overlapping the box, anchors p_j in [-(w_j - 1), N_j - 1]; index 0
+    holds anchor `origin`.  Edge-padding the prefix table by w_j - 1 on
+    both sides repeats the zero slice in front and the full count behind,
+    so the in-box counts of the padded table are these placements with
+    out-of-box cells counted as zero."""
     window = _shape_window(mask.grid, shape)
-    P = prefix_sums(mask)
-    S = _window_counts(P, window)
+    P = np.pad(prefix_sums(mask), [(w - 1, w - 1) for w in window], mode="edge")
+    S = _placement_counts(P, window)
     d = shape.volume_exponent - mask.grid.cell_volume_exponent
     return AverageField(
         mask.grid, S, d, origin=tuple(-(w - 1) for w in window)
@@ -184,7 +181,15 @@ def shape_average_field(mask: BitMask, shape: Shape) -> AverageField:
 
 def maximal_field(mask: BitMask, shapes) -> AverageField:
     """Per cell, the maximum rectangle average over all shapes and all
-    aligned placements containing the cell."""
+    aligned placements containing the cell.
+
+    Only in-box anchors p_j in [0, N_j - w_j] are scanned (w_j <= N_j by
+    compatible_shape).  The box part of an overhanging placement lies in
+    the in-box placement at the clamped anchor clip(p, 0, N - w), which
+    still contains the cell, so the maximum is unchanged.  Per axis, the
+    maximum over the anchors x - w + 1 .. x clamped into the box is a
+    trailing-window maximum of the anchor counts edge-padded by w - 1 at
+    the back."""
     shapes = list(shapes)
     if not shapes:
         raise ParameterError("need at least one shape")
@@ -196,11 +201,16 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     P = prefix_sums(mask)
     out = np.zeros(grid.shape, dtype=np.int64)
     for shape, window in zip(shapes, windows):
-        S = _window_counts(P, window)
-        d = shape.volume_exponent - grid.cell_volume_exponent
-        S <<= D - d
+        S = _placement_counts(P, window)
         for ax, w in enumerate(window):
-            S = _sliding_max_forward(S, w, ax)
+            if w > 1:
+                pad = [(0, 0)] * S.ndim
+                pad[ax] = (0, w - 1)
+                S = maximum_filter1d(
+                    np.pad(S, pad, mode="edge"), size=w, axis=ax,
+                    mode="nearest", origin=(w - 1) // 2,
+                )
+        S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
         np.maximum(out, S, out=out)
     return AverageField(grid, out, D)
 

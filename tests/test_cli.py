@@ -5,6 +5,7 @@ import pytest
 
 from dyadicmax.cli import (
     BUDGET_ENV,
+    CELL_CHUNK,
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_NO_PROGRESSION,
@@ -89,6 +90,14 @@ class TestCrystalCommand:
     def test_stdout_is_pinned(self, scales, capsys):
         assert main(["crystal", f"--scales={scales}"]) == EXIT_OK
         assert capsys.readouterr().out == CRYSTAL_STDOUT[scales]
+
+    def test_cell_list_spans_chunks(self, capsys):
+        # 2^18 cells, every even one kept: four chunks of the mask
+        assert (1 << 18) > 2 * CELL_CHUNK
+        assert main(["crystal", "--scales=0,18"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        cells = list(range(0, 1 << 18, 2))
+        assert lines[2] == f"cells ({len(cells)} of {1 << 18}): {cells}"
 
 
 class TestVerifyCommand:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bruteforce import naive_anchored_union, naive_box_sum, naive_maximal
 from dyadicmax.crystal import (
@@ -38,6 +40,43 @@ def random_mask(shape, res=None):
     ))
     assert grid.shape == tuple(shape)
     return BitMask(grid, rng.random(shape) < 0.4)
+
+
+def _fixed_case(shape, rects):
+    """A random mask at resolution 0 from its own generator, so building
+    the case does not draw from the shared one."""
+    grid = GridSpec((0,) * len(shape), tuple(n.bit_length() - 1 for n in shape))
+    values = np.random.default_rng(sum(shape)).random(shape) < 0.4
+    return BitMask(grid, values), rects
+
+
+@st.composite
+def brute_force_cases(draw):
+    """A grid of at most 64 cells in n = 1..4 dimensions at mixed
+    resolutions; a random, empty, full or single-corner-cell mask; and
+    one to three shapes whose windows run from one cell (w_j = 1) to the
+    whole axis (w_j = N_j, one in-box anchor)."""
+    n = draw(st.integers(1, 4))
+    ks, spare = [], 6
+    for _ in range(n):
+        ks.append(draw(st.integers(0, spare)))
+        spare -= ks[-1]
+    res = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    grid = GridSpec(res, tuple(r + k for r, k in zip(res, ks)))
+    kind = draw(st.sampled_from(["random", "empty", "full", "corner"]))
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=grid.ncells, max_size=grid.ncells))
+        values = np.array(bits, dtype=bool).reshape(grid.shape)
+    else:
+        values = np.full(grid.shape, kind == "full")
+    if kind == "corner":
+        values[tuple(draw(st.sampled_from((0, N - 1))) for N in grid.shape)] = True
+    exponent = [
+        st.one_of(st.sampled_from((r, r + k)), st.integers(r, r + k))
+        for r, k in zip(res, ks)
+    ]
+    rects = draw(st.lists(st.tuples(*exponent), min_size=1, max_size=3))
+    return BitMask(grid, values), rects
 
 
 class TestGridSpec:
@@ -187,21 +226,25 @@ class TestMaximalField:
         thr = np.where(mask.values, 1, 0)
         assert (fld.num >= thr).all()
 
-    def test_against_brute_force(self):
-        cases = [
-            ((16,), [(2,), (4,)]),
-            ((8, 8), [(1, 1), (3, 0)]),
-            ((8, 16), [(0, 2), (2, 1), (3, 4)]),
-            ((4, 4, 4), [(1, 1, 0), (2, 0, 2)]),
-            ((4, 2, 4, 4), [(1, 1, 0, 2), (2, 0, 1, 1)]),
+    @given(case=brute_force_cases())
+    @example(case=_fixed_case((16,), [(2,), (4,)]))
+    @example(case=_fixed_case((8, 8), [(1, 1), (3, 0)]))
+    @example(case=_fixed_case((8, 16), [(0, 2), (2, 1), (3, 4)]))
+    @example(case=_fixed_case((4, 4, 4), [(1, 1, 0), (2, 0, 2)]))
+    @example(case=_fixed_case((4, 2, 4, 4), [(1, 1, 0, 2), (2, 0, 1, 1)]))
+    @settings(max_examples=80, deadline=None)
+    def test_against_brute_force(self, case):
+        # the oracle scans every overhanging anchor as well
+        mask, rects = case
+        fld = maximal_field(mask, [Shape(r) for r in rects])
+        den = Fraction(1, 1 << fld.denom_exp)
+        windows = [
+            tuple(1 << (e - r) for e, r in zip(rect, mask.grid.resolution))
+            for rect in rects
         ]
-        for shape, rects in cases:
-            mask = random_mask(shape)
-            fld = maximal_field(mask, [Shape(r) for r in rects])
-            den = Fraction(1, 1 << fld.denom_exp)
-            want = naive_maximal(mask.values, [tuple(1 << e for e in r) for r in rects])
-            for idx in np.ndindex(*shape):
-                assert int(fld.num[idx]) * den == want[idx]
+        want = naive_maximal(mask.values, windows)
+        for idx in np.ndindex(*mask.grid.shape):
+            assert int(fld.num[idx]) * den == want[idx]
 
 
 class TestSuperlevel:
