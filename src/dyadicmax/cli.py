@@ -45,25 +45,30 @@ def _cell_budget(text: str) -> int:
     return budget
 
 
-def _parse_int_set(text: str) -> frozenset[int]:
+def _parse_range(text: str, what: str) -> range:
+    """`lo..hi` with both ends included, or one integer; malformed text
+    and a reversed (empty) range are usage errors."""
+    lo, sep, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return frozenset(range(int(lo), int(hi) + 1))
+        r = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError as exc:
+        raise ParameterError(f"malformed {what}: {text!r}") from exc
+    if not r:
+        raise ParameterError(f"empty {what} (lo > hi): {text!r}")
+    return r
+
+
+def _parse_int_set(text: str) -> frozenset[int]:
+    if ".." in text:
+        return frozenset(_parse_range(text, "integer set"))
+    try:
         return frozenset(int(t) for t in text.split(","))
     except ValueError as exc:
         raise ParameterError(f"malformed integer set: {text!r}") from exc
 
 
 def _parse_m_range(text: str) -> range:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return range(int(lo), int(hi) + 1)
-        v = int(text)
-        return range(v, v + 1)
-    except ValueError as exc:
-        raise ParameterError(f"malformed m range: {text!r}") from exc
+    return _parse_range(text, "m range")
 
 
 def _write_reports_csv(path: str, reports) -> None:

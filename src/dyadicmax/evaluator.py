@@ -3,9 +3,9 @@
 Crystals are rasterized onto an n-dimensional cell grid; rectangle
 averages are computed through integer prefix sums, and the maximal field
 is a running maximum over shapes and cell-aligned translate positions,
-implemented as separable sliding-window maxima.  Every value is an
-integer numerator over a power-of-two denominator, so all comparisons
-and measures are exact.
+taken one axis at a time by doubling passes over the dyadic windows.
+Every value is an integer numerator over a power-of-two denominator, so
+all comparisons and measures are exact.
 
 Only cell-aligned translates are enumerated, so every superlevel measure
 reported here is a certified lower bound for the true maximal operator.
@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .crystal import CrystalND, Shape, crystal_measure
 from .dyadic import DyadicRational
@@ -186,10 +185,14 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     Only in-box anchors p_j in [0, N_j - w_j] are scanned (w_j <= N_j by
     compatible_shape).  The box part of an overhanging placement lies in
     the in-box placement at the clamped anchor clip(p, 0, N - w), which
-    still contains the cell, so the maximum is unchanged.  Per axis, the
-    maximum over the anchors x - w + 1 .. x clamped into the box is a
-    trailing-window maximum of the anchor counts edge-padded by w - 1 at
-    the back."""
+    still contains the cell, so the maximum is unchanged.
+
+    Per axis, log2(w) doubling passes turn the M = N - w + 1 anchor
+    counts into the N cell maxima (w is a power of two).  Before the
+    pass with window k the axis has length L = M + k - 1 and S[x] is the
+    maximum over the anchors in [x - k + 1, x] ∩ [0, M - 1]; the pass
+    sets U[x] = max(S[x - k], S[x]) over the indices inside [0, L), for
+    x in [0, L + k), which is the same statement for 2k."""
     shapes = list(shapes)
     if not shapes:
         raise ParameterError("need at least one shape")
@@ -203,13 +206,16 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     for shape, window in zip(shapes, windows):
         S = _placement_counts(P, window)
         for ax, w in enumerate(window):
-            if w > 1:
-                pad = [(0, 0)] * S.ndim
-                pad[ax] = (0, w - 1)
-                S = maximum_filter1d(
-                    np.pad(S, pad, mode="edge"), size=w, axis=ax,
-                    mode="nearest", origin=(w - 1) // 2,
-                )
+            lead = (slice(None),) * ax
+            k = 1
+            while k < w:
+                L = S.shape[ax]
+                U = np.empty(S.shape[:ax] + (L + k,) + S.shape[ax + 1:], np.int64)
+                U[lead + (slice(None, k),)] = S[lead + (slice(None, k),)]
+                np.maximum(S[lead + (slice(k, None),)], S[lead + (slice(None, L - k),)],
+                           out=U[lead + (slice(k, L),)])
+                U[lead + (slice(L, None),)] = S[lead + (slice(L - k, None),)]
+                S, k = U, 2 * k
         S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
         np.maximum(out, S, out=out)
     return AverageField(grid, out, D)

@@ -78,21 +78,18 @@ class Membership:
 
 def is_member(shape: Shape, spec: FamilySpec) -> Membership:
     """Shape membership; with dilation closure the witness exponent t is
-    the dyadic dilation 2^t mapping a generator onto the query."""
+    the dyadic dilation 2^t mapping a generator onto the query.  A
+    generator is a zero-sum shape whose first n-1 exponents lie in their
+    axis sets, so this is a direct O(n) test."""
     if len(shape) != spec.dimension:
         raise ParameterError(
             f"shape has {len(shape)} axes, family has {spec.dimension}"
         )
-    base = generate_shapes(spec)
-    if shape in base:
-        return Membership(True, 0 if spec.dilation_closed else None)
-    if spec.dilation_closed:
-        # generators have zero exponent sum, so the shift is forced
-        s = shape.volume_exponent
-        if s % spec.dimension == 0:
-            t = s // spec.dimension
-            if shape.dilate(-t) in base:
-                return Membership(True, t)
+    # generators have zero exponent sum, so the shift is forced
+    t = shape.volume_exponent // spec.dimension if spec.dilation_closed else 0
+    g = shape.dilate(-t).exponents
+    if sum(g) == 0 and all(a in A for a, A in zip(g, spec.axis_sets)):
+        return Membership(True, t if spec.dilation_closed else None)
     return Membership(False)
 
 

@@ -207,13 +207,11 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
         diff.as_fraction() / s.volume().as_fraction()
         for diff, s in zip(au.differences, shapes)
     )
-    union_bits = np.zeros(instance.grid.shape, dtype=bool)
-    sum_Y = DyadicRational(0, 0)
-    for i in instance.indices:
-        mask_Y = rasterize(instance.Y[i], instance.grid)
-        union_bits |= mask_Y.values
-        sum_Y = sum_Y + mask_Y.measure()
-    union_Y = BitMask(instance.grid, union_bits).measure()
+    union_Y = BitMask(instance.grid, union_Y_mask(instance)).measure()
+    sum_Y = sum(
+        (crystal_measure(instance.Y[i]) for i in instance.indices),
+        DyadicRational(0, 0),
+    )
     rho = union_Y.as_fraction() / sum_Y.as_fraction()
     return DisjointnessResult(
         deltas, min(deltas), union_Y, sum_Y, rho, min(deltas) > 0
@@ -328,9 +326,15 @@ def verify_theorem(
     hom_ok = all(r.passed for r in hom)
     disj = check_disjointness(inst)
 
-    all_shapes = sorted(generate_shapes(FamilySpec.power(n, A)), key=lambda s: s.exponents)
-    used = [s for s in all_shapes if inst.grid.compatible_shape(s)]
-    skipped = len(all_shapes) - len(used)
+    # the first n-1 axes share one scale range, so only the scales of A
+    # inside it give shapes that can fit the grid
+    lo, hi = inst.grid.resolution[0], inst.grid.extent[0]
+    fitting = FamilySpec.power(n, {a for a in A if lo <= a <= hi})
+    used = sorted(
+        (s for s in generate_shapes(fitting) if inst.grid.compatible_shape(s)),
+        key=lambda s: s.exponents,
+    )
+    skipped = len(inst.generating_set) ** (n - 1) - len(used)
     fld = maximal_field(mask_E, used)
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)

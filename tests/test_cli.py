@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyadicmax.cli import (
     BUDGET_ENV,
@@ -11,8 +13,11 @@ from dyadicmax.cli import (
     EXIT_NO_PROGRESSION,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_int_set,
+    _parse_m_range,
     main,
 )
+from dyadicmax.errors import ParameterError
 from dyadicmax.evaluator import DEFAULT_CELL_BUDGET
 
 # full `dyadicmax crystal` stdout, pinned byte for byte (recorded, not recomputed)
@@ -204,3 +209,46 @@ class TestCubeCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(float(r["ratio_decimal"]) > 0 for r in rows)
+
+
+# range- and list-shaped strings with small bounds; arbitrary text is at
+# most 8 characters, so no parsed set exceeds the 10^5 values of 0..99999
+_num = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.sampled_from(["", " ", "-", "+3", " 7", "1_0", "x", "1.5", "..", ","]),
+)
+_shaped = st.one_of(
+    st.tuples(_num, _num).map("..".join),
+    st.tuples(_num, _num, _num).map("..".join),
+    st.lists(_num, min_size=1, max_size=4).map(",".join),
+    st.tuples(_num, _num, _num).map(lambda t: f"{t[0]}..{t[1]},{t[2]}"),
+)
+
+
+class TestRangeParsers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "2", "--m", "5..2"],
+            ["cube", "--n", "2", "--m", "3..1"],
+            ["verify", "--n", "2", "--set", "3..1", "--m", "2"],
+            ["sweep", "--n", "2", "--m", "2..3", "--set", "4..0"],
+        ],
+    )
+    def test_reversed_range_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "lo > hi" in capsys.readouterr().err
+
+    def test_single_point_ranges(self):
+        assert _parse_m_range("4..4") == range(4, 5)
+        assert _parse_int_set("-2..-2") == frozenset({-2})
+
+    @given(st.one_of(st.text(max_size=8), _shaped))
+    def test_non_empty_value_or_parameter_error(self, text):
+        for parse in (_parse_int_set, _parse_m_range):
+            try:
+                value = parse(text)
+            except ParameterError:
+                continue
+            assert len(value) > 0
+            assert all(isinstance(v, int) for v in value)

@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyadicmax
 from dyadicmax.crystal import ScaleSet, Shape
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import NoProgressionError, ParameterError
@@ -135,6 +139,14 @@ class TestVerifyTheorem:
         assert rep.inclusion_ok
         assert rep.union_Y <= rep.superlevel
 
+    def test_family_pass_is_bounded_by_the_grid(self):
+        # 1000^3 family shapes; only those whose scales fit the
+        # 8-cell grid are built
+        rep = verify_theorem(4, range(1000), 2)
+        assert rep.passed
+        assert 0 < rep.shapes_used < 10
+        assert rep.shapes_skipped == 1000**3 - rep.shapes_used
+
     def test_json_and_csv(self):
         rep = verify_theorem(2, {0, 1, 2}, 3)
         d = json.loads(rep.to_json())
@@ -184,3 +196,25 @@ class TestCubeCounterexample:
 def test_fraction_decimal_deterministic():
     assert fraction_decimal(Fraction(1, 3)) == fraction_decimal(Fraction(1, 3))
     assert fraction_decimal(Fraction(3, 4)) == "0.75"
+
+
+def test_runs_on_numpy_and_the_standard_library_alone():
+    # a fresh interpreter in which every other top-level import fails
+    src = Path(dyadicmax.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "allowed = sys.stdlib_module_names | {'numpy', 'dyadicmax'}\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] not in allowed:\n"
+        "            raise ImportError(f'{name} is not numpy or standard library')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from dyadicmax import cube_counterexample, verify_theorem\n"
+        "assert cube_counterexample(2, 4).passed\n"
+        "assert verify_theorem(2, {0, 1, 2}, 3).passed\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
