@@ -33,7 +33,6 @@ from .evaluator import (
     maximal_field,
     prefix_sums,
     rasterize,
-    shape_average_field,
     superlevel_measure,
     union_measure,
 )
@@ -43,7 +42,6 @@ from .family import (
     find_progression,
     generate_shapes,
     is_member,
-    zero_sum_shapes,
 )
 from .verify import (
     TheoremInstance,

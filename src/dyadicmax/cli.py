@@ -112,16 +112,12 @@ def cmd_crystal(args) -> int:
     return EXIT_OK
 
 
-def _emit(report, args) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-
-
 def cmd_verify(args) -> int:
     A = _parse_int_set(args.set)
     report = verify_theorem(args.n, A, args.m, budget=args.budget)
-    _emit(report, args)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(report.to_json() + "\n")
     if args.csv:
         _write_reports_csv(args.csv, [report])
     print(
@@ -171,8 +167,6 @@ def cmd_cube(args) -> int:
             worst = max(worst, EXIT_CHECK_FAILED)
     if args.csv:
         _write_reports_csv(args.csv, reports)
-    if getattr(args, "out", None) and len(reports) == 1:
-        _emit(reports[0], args)
     return worst
 
 
@@ -191,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=_cell_budget,
                         default=os.environ.get(BUDGET_ENV) or str(DEFAULT_CELL_BUDGET),
                         help="cell budget for rasterization grids")
-        sp.add_argument("--out", help="write a JSON report here")
         sp.add_argument("--csv", help="write a CSV report here")
 
     pv = sub.add_parser("verify", help="certify one theorem instance")
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--set", required=True, help="generating set, e.g. 0,1,2,3 or 0..9")
     pv.add_argument("--m", type=int, required=True, help="progression length")
+    pv.add_argument("--out", help="write a JSON report here")
     common(pv)
     pv.set_defaults(func=cmd_verify)
 

@@ -124,9 +124,6 @@ class Shape:
     def volume(self) -> DyadicRational:
         return DyadicRational.pow2(self.volume_exponent)
 
-    def dilate(self, t: int) -> "Shape":
-        return Shape(tuple(a + t for a in self.exponents))
-
 
 @dataclass(frozen=True)
 class CrystalND:

@@ -1,27 +1,22 @@
-"""Exact grid evaluation of rectangle averages and maximal fields.
+"""Exact grid evaluation of rectangle maximal fields.
 
-Crystals are rasterized onto an n-dimensional cell grid; rectangle
-averages are computed through integer prefix sums, and the maximal field
-is a running maximum over shapes and cell-aligned translate positions,
-taken one axis at a time by doubling passes over the dyadic windows.
-Every value is an integer numerator over a power-of-two denominator, so
-all comparisons and measures are exact.
+Crystals are rasterized onto an n-dimensional cell grid; window counts
+come from integer prefix sums, and the maximal field is a running
+maximum over shapes and cell-aligned in-box placements (`maximal_field`
+says why overhanging ones can be skipped), taken one axis at a time by
+doubling passes over the dyadic windows.  Every value is an integer
+numerator over a power-of-two denominator, so all comparisons and
+measures are exact.
 
-Only cell-aligned translates are enumerated, so every superlevel measure
-reported here is a certified lower bound for the true maximal operator.
-Cells outside the bounding box count as zero.  Maximal fields therefore
-scan in-box placements only: an overhanging placement holds no more set
-cells than the in-box placement at its clamped anchor, which contains
-the same box cells, so skipping it changes no value.
-`shape_average_field` still reports every overhanging anchor.
+Only cell-aligned translates are enumerated and cells outside the
+bounding box count as zero, so every superlevel measure reported here
+is a certified lower bound for the true maximal operator.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -86,22 +81,11 @@ class BitMask:
 
 @dataclass(frozen=True)
 class AverageField:
-    """Per-cell exact values num * 2^(-denom_exp); origin gives the cell
-    coordinate of index 0 along each axis (negative for anchor fields of
-    overhanging placements)."""
+    """Per-cell exact values num * 2^(-denom_exp) on the grid."""
 
     grid: GridSpec
     num: np.ndarray  # int64
     denom_exp: int
-    origin: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.origin is None:
-            object.__setattr__(self, "origin", (0,) * self.grid.dimension)
-        object.__setattr__(self, "origin", tuple(self.origin))
-
-    def value_at(self, idx: tuple[int, ...]) -> Fraction:
-        return Fraction(int(self.num[idx]), 1 << self.denom_exp)
 
 
 def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
@@ -160,22 +144,6 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
             f"res={grid.resolution} extent={grid.extent}"
         )
     return tuple(1 << (a - r) for a, r in zip(shape.exponents, grid.resolution))
-
-
-def shape_average_field(mask: BitMask, shape: Shape) -> AverageField:
-    """Exact averages |E ∩ (R + p)| / |R| over all aligned placements p
-    overlapping the box, anchors p_j in [-(w_j - 1), N_j - 1]; index 0
-    holds anchor `origin`.  Edge-padding the prefix table by w_j - 1 on
-    both sides repeats the zero slice in front and the full count behind,
-    so the in-box counts of the padded table are these placements with
-    out-of-box cells counted as zero."""
-    window = _shape_window(mask.grid, shape)
-    P = np.pad(prefix_sums(mask), [(w - 1, w - 1) for w in window], mode="edge")
-    S = _placement_counts(P, window)
-    d = shape.volume_exponent - mask.grid.cell_volume_exponent
-    return AverageField(
-        mask.grid, S, d, origin=tuple(-(w - 1) for w in window)
-    )
 
 
 def maximal_field(mask: BitMask, shapes) -> AverageField:
@@ -292,74 +260,3 @@ def anchored_union_measure(shapes) -> AnchoredUnion:
         covered = union_measure(others)
         diffs.append(s.volume() - covered)
     return AnchoredUnion(union, tuple(diffs))
-
-
-# --- binary field dump (debugging aid) -------------------------------------
-#
-# layout: magic b"DMXF", version u16, kind u8 (0 = mask, 1 = average),
-# ndim u8, then per axis (resolution i32, extent i32), then for averages
-# denom_exp i32 and per-axis origin i32, then the payload (packed bits
-# little-endian for masks, little-endian i64 in C order for averages).
-
-_MAGIC = b"DMXF"
-_VERSION = 1
-
-
-def save_field(path, obj: BitMask | AverageField) -> None:
-    kind = 0 if isinstance(obj, BitMask) else 1
-    g = obj.grid
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HBB", _VERSION, kind, g.dimension))
-        for r, L in zip(g.resolution, g.extent):
-            fh.write(struct.pack("<ii", r, L))
-        if kind == 0:
-            fh.write(np.packbits(obj.values.ravel(), bitorder="little").tobytes())
-        else:
-            fh.write(struct.pack("<i", obj.denom_exp))
-            fh.write(struct.pack(f"<{g.dimension}i", *obj.origin))
-            fh.write(obj.num.astype("<i8").tobytes())
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ParameterError(f"{path}: truncated field dump")
-    return data
-
-
-def load_field(path) -> BitMask | AverageField:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ParameterError(f"{path}: not a field dump")
-        version, kind, ndim = struct.unpack("<HBB", _read_exact(fh, 4, path))
-        if version != _VERSION:
-            raise ParameterError(f"{path}: unsupported version {version}")
-        if kind not in (0, 1):
-            raise ParameterError(f"{path}: unknown field kind {kind}")
-        res, ext = [], []
-        for _ in range(ndim):
-            r, L = struct.unpack("<ii", _read_exact(fh, 8, path))
-            res.append(r)
-            ext.append(L)
-        grid = GridSpec(tuple(res), tuple(ext))
-        if kind == 0:
-            shape, nbytes = grid.shape, (grid.ncells + 7) // 8
-        else:
-            (denom_exp,) = struct.unpack("<i", _read_exact(fh, 4, path))
-            origin = struct.unpack(f"<{ndim}i", _read_exact(fh, 4 * ndim, path))
-            if any(o > 0 for o in origin):
-                raise ParameterError(f"{path}: positive origin {origin}")
-            # anchor fields extend the grid by w-1 = -origin cells per axis
-            shape = tuple(N - o for N, o in zip(grid.shape, origin))
-            nbytes = 8 * math.prod(shape)
-        payload = fh.read()
-    if len(payload) != nbytes:
-        raise ParameterError(
-            f"{path}: payload has {len(payload)} bytes, the grid needs {nbytes}"
-        )
-    if kind == 0:
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        return BitMask(grid, bits[: grid.ncells].astype(bool).reshape(shape))
-    num = np.frombuffer(payload, dtype="<i8").astype(np.int64)
-    return AverageField(grid, num.reshape(shape), denom_exp, origin)

@@ -33,7 +33,6 @@ from dyadicmax.evaluator import (
     prefix_sums,
     box_sum,
     rasterize,
-    shape_average_field,
 )
 from dyadicmax.family import FamilySpec, Progression, is_member
 from dyadicmax.verify import (
@@ -152,33 +151,22 @@ def test_criterion_3_evaluator_oracles():
                     int(rng.integers(l + 1, n + 1)) for l, n in zip(lo, shape)
                 )
                 assert box_sum(P, lo, hi) == naive_box_sum(mask.values, lo, hi)
-            # shape averages at sampled placements
+            # maximal fields of one window and of two, at sampled cells
             rect = tuple(pr.randint(0, min(e, 3)) for e in exps)
-            window = tuple(1 << e for e in rect)
-            fld = shape_average_field(mask, Shape(rect))
-            den = Fraction(1, 1 << fld.denom_exp)
-            for _ in range(10):
-                anchor = tuple(
-                    int(rng.integers(-(w - 1), n)) for w, n in zip(window, shape)
-                )
-                idx = tuple(a - o for a, o in zip(anchor, fld.origin))
-                assert int(fld.num[idx]) * den == naive_average(
-                    mask.values, window, anchor
-                )
-            # maximal field at sampled cells
-            rects = [rect, tuple(pr.randint(0, min(e, 3)) for e in exps)]
-            mfld = maximal_field(mask, [Shape(r) for r in rects])
-            mden = Fraction(1, 1 << mfld.denom_exp)
-            windows = [tuple(1 << e for e in r) for r in rects]
-            for _ in range(6):
-                cell = tuple(int(rng.integers(0, n)) for n in shape)
-                best = Fraction(0)
-                for w in windows:
-                    for anchor in product(
-                        *(range(c - wj + 1, c + 1) for c, wj in zip(cell, w))
-                    ):
-                        best = max(best, naive_average(mask.values, w, anchor))
-                assert int(mfld.num[cell]) * mden == best
+            rect2 = tuple(pr.randint(0, min(e, 3)) for e in exps)
+            for rects in ([rect], [rect, rect2]):
+                mfld = maximal_field(mask, [Shape(r) for r in rects])
+                mden = Fraction(1, 1 << mfld.denom_exp)
+                windows = [tuple(1 << e for e in r) for r in rects]
+                for _ in range(6):
+                    cell = tuple(int(rng.integers(0, n)) for n in shape)
+                    best = Fraction(0)
+                    for w in windows:
+                        for anchor in product(
+                            *(range(c - wj + 1, c + 1) for c, wj in zip(cell, w))
+                        ):
+                            best = max(best, naive_average(mask.values, w, anchor))
+                    assert int(mfld.num[cell]) * mden == best
 
 
 def test_criterion_4_homogeneity():

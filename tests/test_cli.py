@@ -117,6 +117,18 @@ class TestVerifyCommand:
         assert d["passed"] is True
         assert d["n"] == 2 and d["m"] == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--n", "2", "--m", "2..3"], ["cube", "--n", "2", "--m", "1..2"]],
+    )
+    def test_out_belongs_to_verify_only(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--out", str(out)])
+        assert ei.value.code == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_progression_exit_code(self):
         rc = main(["verify", "--n", "2", "--set", "1,2,4,8", "--m", "3"])
         assert rc == EXIT_NO_PROGRESSION

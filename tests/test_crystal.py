@@ -186,6 +186,3 @@ class TestShape:
         s = Shape((2, -1, -1))
         assert s.volume_exponent == 0
         assert s.volume() == DyadicRational(1, 0)
-
-    def test_dilate(self):
-        assert Shape((1, -1)).dilate(2) == Shape((3, 1))

@@ -16,17 +16,13 @@ from dyadicmax.crystal import (
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import BudgetExceededError, ConstructionError, ParameterError
 from dyadicmax.evaluator import (
-    AverageField,
     BitMask,
     GridSpec,
     anchored_union_measure,
     box_sum,
-    load_field,
     maximal_field,
     prefix_sums,
     rasterize,
-    save_field,
-    shape_average_field,
     superlevel_measure,
     union_measure,
 )
@@ -168,52 +164,6 @@ class TestPrefixSums:
                 assert box_sum(P, lo, hi) == naive_box_sum(mask.values, lo, hi)
 
 
-class TestShapeAverageField:
-    def test_full_box_shape(self):
-        E = product_crystal(ScaleSet((0, 1)), ScaleSet((0, 1)))
-        grid = GridSpec((0, 0), (1, 1))
-        mask = rasterize(E, grid)
-        fld = shape_average_field(mask, Shape((1, 1)))
-        # placement anchored at 0 is index (w-1, w-1)
-        assert fld.value_at((1, 1)) == Fraction(1, 4)
-
-    def test_single_cell_shape_equals_mask(self):
-        mask = random_mask((8, 8))
-        fld = shape_average_field(mask, Shape((0, 0)))
-        assert fld.origin == (0, 0)
-        assert np.array_equal(fld.num > 0, mask.values)
-
-    def test_against_naive_sliding_windows(self):
-        for shape, rect in [
-            ((16,), (2,)),
-            ((8, 16), (1, 3)),
-            ((4, 8, 8), (2, 0, 1)),
-            ((4, 2, 4, 8), (1, 1, 0, 2)),
-        ]:
-            mask = random_mask(shape)
-            fld = shape_average_field(mask, Shape(rect))
-            window = tuple(1 << e for e in rect)
-            den = Fraction(1, 1 << fld.denom_exp)
-            for _ in range(30):
-                anchor = tuple(
-                    int(rng.integers(-(w - 1), n))
-                    for w, n in zip(window, shape)
-                )
-                idx = tuple(a - o for a, o in zip(anchor, fld.origin))
-                got = int(fld.num[idx]) * den
-                want = Fraction(naive_box_sum(
-                    mask.values, anchor, tuple(a + w for a, w in zip(anchor, window))
-                ), 1 << sum(rect))
-                assert got == want
-
-    def test_incompatible_shape(self):
-        mask = random_mask((8,))
-        with pytest.raises(ParameterError):
-            shape_average_field(mask, Shape((-1,)))
-        with pytest.raises(ParameterError):
-            shape_average_field(mask, Shape((4,)))
-
-
 class TestMaximalField:
     def test_single_cell_shape_is_mask(self):
         mask = random_mask((8, 8))
@@ -225,6 +175,16 @@ class TestMaximalField:
         fld = maximal_field(mask, [Shape((2, 1)), Shape((0, 3))])
         thr = np.where(mask.values, 1, 0)
         assert (fld.num >= thr).all()
+
+    def test_incompatible_shape(self):
+        mask = random_mask((8,))
+        # finer than a cell, wider than the extent, no shape at all
+        with pytest.raises(ParameterError):
+            maximal_field(mask, [Shape((-1,))])
+        with pytest.raises(ParameterError):
+            maximal_field(mask, [Shape((1,)), Shape((4,))])
+        with pytest.raises(ParameterError):
+            maximal_field(mask, [])
 
     @given(case=brute_force_cases())
     @example(case=_fixed_case((16,), [(2,), (4,)]))
@@ -318,44 +278,3 @@ class TestAnchoredUnion:
 
     def test_empty(self):
         assert union_measure([]) == DyadicRational(0, 0)
-
-
-class TestFieldDump(object):
-    def test_mask_roundtrip(self, tmp_path):
-        mask = random_mask((8, 4))
-        p = tmp_path / "mask.dmx"
-        save_field(p, mask)
-        back = load_field(p)
-        assert isinstance(back, BitMask)
-        assert back.grid.resolution == mask.grid.resolution
-        assert np.array_equal(back.values, mask.values)
-
-    def test_average_roundtrip(self, tmp_path):
-        mask = random_mask((8, 8))
-        fld = shape_average_field(mask, Shape((2, 1)))
-        p = tmp_path / "avg.dmx"
-        save_field(p, fld)
-        back = load_field(p)
-        assert isinstance(back, AverageField)
-        assert back.denom_exp == fld.denom_exp
-        assert back.origin == fld.origin
-        assert np.array_equal(back.num, fld.num)
-
-    def test_truncated_header_is_parameter_error(self, tmp_path):
-        p = tmp_path / "avg.dmx"
-        save_field(p, shape_average_field(random_mask((8, 8)), Shape((2, 1))))
-        whole = p.read_bytes()
-        # cut inside the version word, an axis, denom_exp and the origin
-        for cut in (6, 12, 26, 30):
-            p.write_bytes(whole[:cut])
-            with pytest.raises(ParameterError, match="truncated"):
-                load_field(p)
-
-    def test_truncated_payload_is_parameter_error(self, tmp_path):
-        mask = random_mask((8, 4))
-        for obj in (mask, shape_average_field(mask, Shape((2, 1)))):
-            p = tmp_path / "field.dmx"
-            save_field(p, obj)
-            p.write_bytes(p.read_bytes()[:-1])
-            with pytest.raises(ParameterError, match="payload"):
-                load_field(p)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import pytest
 import dyadicmax
 from dyadicmax.crystal import ScaleSet, Shape
 from dyadicmax.dyadic import DyadicRational
-from dyadicmax.errors import NoProgressionError, ParameterError
-from dyadicmax.evaluator import maximal_field, rasterize, superlevel_measure
+from dyadicmax.errors import ConstructionError, NoProgressionError, ParameterError
+from dyadicmax.evaluator import BitMask, maximal_field, rasterize, superlevel_measure
 from dyadicmax.family import Progression
 from dyadicmax.verify import (
     CSV_COLUMNS,
@@ -93,6 +94,25 @@ class TestHomogeneity:
         results = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
         assert len(results) == 6
         assert all(r.passed and r.k == 2 for r in results)
+
+    def test_ratio_not_a_power_of_two_raises(self, monkeypatch):
+        # one extra cell outside E keeps E ⊂ Y(i), but |Y(i)| is then
+        # 2^k |E| plus one cell, not a power of two times |E|
+        inst = build_instance(2, prog(0, 1, 2))
+        i = inst.indices[-1]
+        mask_E = rasterize(inst.E, inst.grid)
+
+        def one_extra_cell(Y, grid):
+            mask = rasterize(Y, grid)
+            if Y is inst.Y[i]:
+                values = mask.values.copy()
+                values.flat[np.flatnonzero(~values)[0]] = True
+                mask = BitMask(grid, values)
+            return mask
+
+        monkeypatch.setattr(dyadicmax.verify, "rasterize", one_extra_cell)
+        with pytest.raises(ConstructionError, match="power of two"):
+            check_homogeneity(inst, i, mask_E)
 
 
 class TestDisjointness:
@@ -191,6 +211,15 @@ class TestCubeCounterexample:
     def test_validation(self):
         with pytest.raises(ParameterError):
             cube_counterexample(0, 3)
+
+    def test_runtime_includes_rasterization(self, monkeypatch):
+        # the clock starts on entry, so building the mask counts too
+        def slow_rasterize(E, grid):
+            time.sleep(0.05)
+            return rasterize(E, grid)
+
+        monkeypatch.setattr(dyadicmax.verify, "rasterize", slow_rasterize)
+        assert cube_counterexample(1, 1).runtime_ms >= 50
 
 
 def test_fraction_decimal_deterministic():
