@@ -37,7 +37,6 @@ from .evaluator import (
     union_measure,
 )
 from .family import (
-    FamilySpec,
     Progression,
     find_progression,
     generate_shapes,

@@ -55,12 +55,6 @@ class DyadicRational:
         )
         return DyadicRational(m, e)
 
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.mantissa, self.exponent)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        return self + (-other)
-
     def __mul__(self, other: "DyadicRational") -> "DyadicRational":
         return DyadicRational(
             self.mantissa * other.mantissa, self.exponent + other.exponent

@@ -8,11 +8,11 @@ class ParameterError(ValueError):
 class BudgetExceededError(RuntimeError):
     """A grid would exceed the configured cell budget."""
 
-    def __init__(self, required_cells, budget):
-        self.required_cells = required_cells
+    def __init__(self, cells_exponent, budget):
+        self.cells_exponent = cells_exponent
         self.budget = budget
         super().__init__(
-            f"grid requires {required_cells} cells, budget is {budget}"
+            f"grid requires 2^{cells_exponent} cells, budget is {budget}"
         )
 
 

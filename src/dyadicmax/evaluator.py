@@ -43,8 +43,10 @@ class GridSpec:
             raise ParameterError("resolution/extent dimension mismatch")
         if any(r > L for r, L in zip(self.resolution, self.extent)):
             raise ParameterError("resolution coarser than extent")
-        if self.ncells > self.budget:
-            raise BudgetExceededError(self.ncells, self.budget)
+        # 2^k > budget exactly when k reaches the budget's bit length; the
+        # cell count 2^k itself may be too long to build or print
+        if self.cells_exponent >= self.budget.bit_length():
+            raise BudgetExceededError(self.cells_exponent, self.budget)
 
     @property
     def dimension(self) -> int:
@@ -55,8 +57,12 @@ class GridSpec:
         return tuple(1 << (L - r) for r, L in zip(self.resolution, self.extent))
 
     @property
+    def cells_exponent(self) -> int:
+        return sum(L - r for r, L in zip(self.resolution, self.extent))
+
+    @property
     def ncells(self) -> int:
-        return math.prod(self.shape)
+        return 1 << self.cells_exponent
 
     @property
     def cell_volume_exponent(self) -> int:
@@ -215,17 +221,21 @@ class AnchoredUnion:
     differences: tuple[DyadicRational, ...]  # |R_i \ union of the others|
 
 
-def union_measure(shapes) -> DyadicRational:
-    """Exact measure of the union of anchored boxes [0, 2^e_1] x ... .
+def anchored_union_measure(shapes) -> AnchoredUnion:
+    """Exact measure of the union of anchored boxes [0, 2^e_1] x ...,
+    plus each |R_i \\ union of the other boxes|.
 
     Each axis is compressed to its distinct exponents e_(0) < e_(1) < ...;
     compressed cell k spans [2^e_(k-1), 2^e_(k)] (with 2^e_(-1) = 0) and
     has an integer width in units of 2^e_(0).  A box covers the leading
-    cells up to its own exponent on every axis, and the covered widths
-    are multiplied and summed in Python ints."""
+    cells up to its own exponent on every axis.  One grid counts the
+    boxes covering each cell: the union is the volume of the cells
+    counted at least once, and the part of box i outside the others is
+    the volume of its cells counted exactly once.  Volumes are products
+    of the widths in Python ints."""
     shapes = list(shapes)
     if not shapes:
-        return DyadicRational(0, 0)
+        return AnchoredUnion(DyadicRational(0, 0), ())
     if len({len(s) for s in shapes}) != 1:
         raise ParameterError("shapes must share a dimension")
     ranks, widths, unit = [], [], 0
@@ -237,26 +247,19 @@ def union_measure(shapes) -> DyadicRational:
         )
         ranks.append([exps.index(e) for e in col])
         unit += exps[0]
-    covered = np.zeros(tuple(len(w) for w in widths), dtype=bool)
-    for r in zip(*ranks):
-        covered[tuple(slice(0, k + 1) for k in r)] = True
-    total = covered.astype(object)
-    for w in reversed(widths):
-        total = total @ w  # contracts the last remaining axis
-    return DyadicRational(int(total), unit)
+    volume = reduce(np.multiply.outer, widths)
+    count = np.zeros(volume.shape, dtype=np.intp)
+    boxes = [tuple(slice(0, k + 1) for k in r) for r in zip(*ranks)]
+    for box in boxes:
+        count[box] += 1
+    union = int(volume[count > 0].sum())
+    private = (int(volume[box][count[box] == 1].sum()) for box in boxes)
+    return AnchoredUnion(
+        DyadicRational(union, unit),
+        tuple(DyadicRational(p, unit) for p in private),
+    )
 
 
-def anchored_union_measure(shapes) -> AnchoredUnion:
-    """Union measure plus each |R_i \\ union of the other boxes|."""
-    shapes = list(shapes)
-    union = union_measure(shapes)
-    diffs = []
-    for i, s in enumerate(shapes):
-        others = [
-            Shape(tuple(min(a, b) for a, b in zip(s.exponents, t.exponents)))
-            for k, t in enumerate(shapes)
-            if k != i
-        ]
-        covered = union_measure(others)
-        diffs.append(s.volume() - covered)
-    return AnchoredUnion(union, tuple(diffs))
+def union_measure(shapes) -> DyadicRational:
+    """Exact measure of the union of anchored boxes [0, 2^e_1] x ... ."""
+    return anchored_union_measure(shapes).union

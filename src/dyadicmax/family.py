@@ -1,9 +1,9 @@
-"""Translation-invariant rectangle families described by their shapes.
+"""The translation-invariant rectangle family B_(A^(n-1)) and progressions.
 
-A family is generated by axis scale sets A_1, ..., A_(n-1): for each
-choice a in the Cartesian product it contains the unit-volume shape
-(a_1, ..., a_(n-1), -(a_1 + ... + a_(n-1))), normalized along the last
-axis.  The family is invariant under translation only.
+For a set A of integer scales the family is generated by the unit-volume
+shapes (a_1, ..., a_(n-1), -(a_1 + ... + a_(n-1))) with every a_j in A,
+normalized along the last axis.  The family is invariant under
+translation only.
 """
 
 from __future__ import annotations
@@ -15,47 +15,21 @@ from .crystal import Shape
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    dimension: int
-    axis_sets: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "axis_sets", tuple(frozenset(s) for s in self.axis_sets)
-        )
-        if self.dimension < 2:
-            raise ParameterError("dimension must be at least 2")
-        if len(self.axis_sets) != self.dimension - 1:
-            raise ParameterError(
-                f"need {self.dimension - 1} axis sets, got {len(self.axis_sets)}"
-            )
-        if any(not s for s in self.axis_sets):
-            raise ParameterError("axis sets must be non-empty")
-
-    @classmethod
-    def power(cls, dimension: int, axis_set) -> "FamilySpec":
-        """The family generated by A^(n-1) for a single set A."""
-        return cls(dimension, (frozenset(axis_set),) * (dimension - 1))
+def generate_shapes(n: int, A) -> list[Shape]:
+    """The generators of B_(A^(n-1)), sorted by exponents: the product
+    order is lexicographic, and the last exponent is fixed by the others."""
+    return [
+        Shape(a + (-sum(a),)) for a in product(sorted(set(A)), repeat=n - 1)
+    ]
 
 
-def generate_shapes(spec: FamilySpec) -> set[Shape]:
-    """All generator shapes; the last exponent balances the sum to zero."""
-    out = set()
-    for a in product(*(sorted(s) for s in spec.axis_sets)):
-        out.add(Shape(a + (-sum(a),)))
-    return out
-
-
-def is_member(shape: Shape, spec: FamilySpec) -> bool:
-    """Whether shape is a generator of the family: a zero-sum shape whose
-    first n-1 exponents lie in their axis sets, an O(n) test."""
-    if len(shape) != spec.dimension:
-        raise ParameterError(
-            f"shape has {len(shape)} axes, family has {spec.dimension}"
-        )
+def is_member(shape: Shape, n: int, A) -> bool:
+    """Whether shape is a generator of B_(A^(n-1)): a zero-sum shape whose
+    first n-1 exponents lie in the set A, an O(n) test."""
+    if len(shape) != n:
+        raise ParameterError(f"shape has {len(shape)} axes, family has {n}")
     g = shape.exponents
-    return sum(g) == 0 and all(a in A for a, A in zip(g, spec.axis_sets))
+    return sum(g) == 0 and all(a in A for a in g[:-1])
 
 
 @dataclass(frozen=True)
@@ -85,9 +59,17 @@ def find_progression(A, m: int) -> Progression | None:
     if len(elems) < m:
         return None
     members = set(elems)
-    span = elems[-1] - elems[0]
-    for d in range(1, span // (m - 1) + 1):
-        for u0 in elems:
-            if all(u0 + k * d in members for k in range(1, m)):
-                return Progression(tuple(u0 + k * d for k in range(m)), d)
-    return None
+    gap = min(b - a for a, b in zip(elems, elems[1:]))  # no step is smaller
+    best = None
+    # only differences of members can be steps; per start they ascend, so
+    # a start's scan stops at the first step not below the best one found
+    for k, u0 in enumerate(elems):
+        if best is not None and best.step == gap:
+            break
+        for j in range(k + 1, len(elems)):
+            d = elems[j] - u0
+            if best is not None and d >= best.step:
+                break
+            if all(u0 + i * d in members for i in range(2, m)):
+                best = Progression(tuple(u0 + i * d for i in range(m)), d)
+    return best

@@ -49,7 +49,7 @@ from .evaluator import (
     superlevel_mask,
     superlevel_measure,
 )
-from .family import FamilySpec, Progression, find_progression, generate_shapes, is_member
+from .family import Progression, find_progression, generate_shapes, is_member
 
 CSV_COLUMNS = (
     "n",
@@ -124,7 +124,6 @@ def build_instance(
     indices = tuple(
         i for i in iproduct(range(m), repeat=n - 1) if sum(i) <= m - 1
     )
-    spec = FamilySpec.power(n, A)
     measure_E = crystal_measure(E)
     Y, R = {}, {}
     for i in indices:
@@ -138,7 +137,7 @@ def build_instance(
             raise ConstructionError(f"primitive rectangle mismatch at index {i}")
         if h[s] != sum(u.values[ik] for ik in i):
             raise ConstructionError(f"resonance identity fails at index {i}")
-        if not is_member(Ri, spec):
+        if not is_member(Ri, n, A):
             raise ConstructionError(
                 f"primitive rectangle {Ri.exponents} not in the family at index {i}"
             )
@@ -315,6 +314,8 @@ def verify_theorem(
     measure of the family maximal field, and the sharpness ratio
     S / (m^(n-1) 2^m |E|) at threshold 2^-(m-1) (2^-m reported too)."""
     t0 = time.perf_counter()
+    if n < 2:
+        raise ParameterError("dimension must be at least 2")
     prog = find_progression(A, m)
     if prog is None:
         raise NoProgressionError(
@@ -329,11 +330,8 @@ def verify_theorem(
     # the first n-1 axes share one scale range, so only the scales of A
     # inside it give shapes that can fit the grid
     lo, hi = inst.grid.resolution[0], inst.grid.extent[0]
-    fitting = FamilySpec.power(n, {a for a in A if lo <= a <= hi})
-    used = sorted(
-        (s for s in generate_shapes(fitting) if inst.grid.compatible_shape(s)),
-        key=lambda s: s.exponents,
-    )
+    fitting = {a for a in A if lo <= a <= hi}
+    used = [s for s in generate_shapes(n, fitting) if inst.grid.compatible_shape(s)]
     skipped = len(inst.generating_set) ** (n - 1) - len(used)
     fld = maximal_field(mask_E, used)
     thr = DyadicRational.pow2(-(m - 1))

@@ -59,22 +59,28 @@ def naive_crystal_cells(scales, r, L) -> list[bool]:
 
 
 def naive_anchored_union(shapes) -> Fraction:
-    """Union of anchored boxes [0, 2^e] via a rational coordinate grid."""
+    """Union of anchored boxes [0, 2^e] via a rational coordinate grid: a
+    grid cell counts when its midpoint lies inside some box."""
     n = len(shapes[0])
-    edges = []
+    widths, inside = [], []
     for j in range(n):
         es = sorted({s.exponents[j] for s in shapes})
-        edges.append([Fraction(0)] + [Fraction(2) ** e for e in es])
+        edges = [Fraction(0)] + [Fraction(2) ** e for e in es]
+        cells = list(zip(edges, edges[1:]))
+        widths.append([b - a for a, b in cells])
+        # inside[j][i]: the boxes whose side on axis j lies above the
+        # midpoint of cell i
+        sides = [Fraction(2) ** s.exponents[j] for s in shapes]
+        inside.append([
+            {k for k, side in enumerate(sides) if (a + b) / 2 < side}
+            for a, b in cells
+        ])
     total = Fraction(0)
-    for idx in product(*(range(len(e) - 1) for e in edges)):
-        mids = [(edges[j][i] + edges[j][i + 1]) / 2 for j, i in enumerate(idx)]
-        if any(
-            all(mids[j] < Fraction(2) ** s.exponents[j] for j in range(n))
-            for s in shapes
-        ):
+    for idx in product(*(range(len(w)) for w in widths)):
+        if set.intersection(*(inside[j][i] for j, i in enumerate(idx))):
             vol = Fraction(1)
             for j, i in enumerate(idx):
-                vol *= edges[j][i + 1] - edges[j][i]
+                vol *= widths[j][i]
             total += vol
     return total
 

@@ -34,7 +34,7 @@ from dyadicmax.evaluator import (
     box_sum,
     rasterize,
 )
-from dyadicmax.family import FamilySpec, Progression, is_member
+from dyadicmax.family import Progression, is_member
 from dyadicmax.verify import (
     build_instance,
     check_homogeneity,
@@ -226,15 +226,14 @@ def test_criterion_7_cube_counterexample():
 def test_criterion_8_membership_consistency():
     with criterion(8, "family membership of every primitive rectangle"):
         for n, A, ms in SWEEPS.values():
-            spec = FamilySpec.power(n, A)
             from dyadicmax.family import find_progression, generate_shapes
 
-            for s in generate_shapes(spec):
+            for s in generate_shapes(n, A):
                 assert s.volume_exponent == 0
             for m in ms:
                 inst = build_instance(n, find_progression(A, m), A)
                 for i in inst.indices:
-                    assert is_member(inst.R[i], spec)
+                    assert is_member(inst.R[i], n, A)
                     assert inst.R[i].volume_exponent == 0
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dyadicmax
 from dyadicmax.cli import (
     BUDGET_ENV,
     CELL_CHUNK,
@@ -133,6 +138,31 @@ class TestVerifyCommand:
         rc = main(["verify", "--n", "2", "--set", "1,2,4,8", "--m", "3"])
         assert rc == EXIT_NO_PROGRESSION
 
+    def test_dimension_is_checked_before_the_progression(self, capsys):
+        assert main(["verify", "--n", "1", "--set", "0", "--m", "2"]) == EXIT_USAGE
+        assert "dimension must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--set", "0,1000000000", "--m", "2"], EXIT_BUDGET),
+            (["--set", "0,1,100000000", "--m", "3"], EXIT_NO_PROGRESSION),
+            (["--set", "0..99999", "--m", "2"], EXIT_OK),
+        ],
+    )
+    def test_large_sets_exit_promptly(self, argv, code):
+        # the progression search must not try every step up to the span nor
+        # every pair of members, and the budget check must not build the
+        # cell count of a 2^(2*10^9)-cell grid
+        env = {k: v for k, v in os.environ.items() if k != BUDGET_ENV}
+        env["PYTHONPATH"] = str(Path(dyadicmax.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyadicmax.cli", "verify", "--n", "2", *argv],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_budget_exit_code(self):
         rc = main(
             ["verify", "--n", "2", "--set", "0..9", "--m", "10",
@@ -168,6 +198,10 @@ class TestVerifyCommand:
             ["verify", "--n", "2", "--set", "0,10,20", "--m", "3"],
             ["verify", "--n", "2", "--set", "0,20,40", "--m", "3"],
             ["crystal", "--scales=0,40"],
+            # cell counts past int()'s 4300-digit printing limit
+            ["crystal", "--scales=0,20000"],
+            ["cube", "--n", "2", "--m", "8000"],
+            ["verify", "--n", "2", "--set", "0,8000", "--m", "2"],
         ],
     )
     def test_default_budget_refuses_before_building_cells(

@@ -85,7 +85,14 @@ class TestGridSpec:
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as ei:
             GridSpec((0,), (40,), budget=1 << 20)
-        assert ei.value.required_cells == 1 << 40
+        assert ei.value.cells_exponent == 40
+        assert "2^40 cells" in str(ei.value)
+        # refused exactly when 2^k > budget
+        GridSpec((0,), (20,), budget=1 << 20)
+        GridSpec((0,), (21,), budget=1 << 21)
+        for budget in (1 << 20, (1 << 21) - 1):
+            with pytest.raises(BudgetExceededError):
+                GridSpec((0,), (21,), budget=budget)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -233,6 +240,19 @@ class TestSuperlevel:
         assert got == DyadicRational(7, 0)
 
 
+def assert_matches_naive_oracle(shapes):
+    """The union and every |R_i \\ union of the others| against the naive
+    union oracle: the latter is |all| - |others|."""
+    au = anchored_union_measure(shapes)
+    whole = naive_anchored_union(shapes)
+    assert au.union.as_fraction() == union_measure(shapes).as_fraction() == whole
+    for i, diff in enumerate(au.differences):
+        others = shapes[:i] + shapes[i + 1 :]
+        assert diff.as_fraction() == whole - (
+            naive_anchored_union(others) if others else 0
+        )
+
+
 class TestAnchoredUnion:
     def test_cross_example(self):
         au = anchored_union_measure([Shape((1, 0)), Shape((0, 1))])
@@ -256,8 +276,9 @@ class TestAnchoredUnion:
                 Shape(tuple(int(e) for e in rng.integers(-4, 5, n)))
                 for _ in range(k)
             ]
-            got = union_measure(shapes).as_fraction()
-            assert got == naive_anchored_union(shapes)
+            assert_matches_naive_oracle(shapes)
+        # one axis, exponents far apart: private parts are whole widths
+        assert_matches_naive_oracle([Shape((-40,)), Shape((40,)), Shape((3,))])
 
     def test_many_boxes_match_naive_oracle(self):
         # 25 boxes on a narrow exponent range, then boxes whose exponents
@@ -266,7 +287,7 @@ class TestAnchoredUnion:
             Shape(tuple(int(e) for e in rng.integers(-3, 4, 3)))
             for _ in range(25)
         ]
-        assert union_measure(shapes).as_fraction() == naive_anchored_union(shapes)
+        assert_matches_naive_oracle(shapes)
         for _ in range(10):
             n = int(rng.integers(1, 4))
             k = int(rng.integers(1, 26))
@@ -274,7 +295,7 @@ class TestAnchoredUnion:
                 Shape(tuple(int(e) for e in rng.integers(-40, 41, n)))
                 for _ in range(k)
             ]
-            assert union_measure(shapes).as_fraction() == naive_anchored_union(shapes)
+            assert_matches_naive_oracle(shapes)
 
     def test_empty(self):
         assert union_measure([]) == DyadicRational(0, 0)

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 from dyadicmax.crystal import Shape
 from dyadicmax.errors import ParameterError
 from dyadicmax.family import (
-    FamilySpec,
     Progression,
     find_progression,
     generate_shapes,
@@ -15,52 +12,35 @@ from dyadicmax.family import (
 )
 
 
-class TestFamilySpec:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            FamilySpec(1, ())
-        with pytest.raises(ParameterError):
-            FamilySpec(3, (frozenset({0}),))
-        with pytest.raises(ParameterError):
-            FamilySpec(2, (frozenset(),))
-
-
 class TestGenerateShapes:
     def test_n3_example(self):
-        shapes = generate_shapes(FamilySpec.power(3, {0, 1, 2}))
+        shapes = generate_shapes(3, {0, 1, 2})
         assert len(shapes) == 9
         assert Shape((1, 1, -2)) in shapes
         assert Shape((0, 2, -2)) in shapes
 
     def test_n2_example(self):
-        shapes = generate_shapes(FamilySpec.power(2, {0, 1}))
-        assert shapes == {Shape((0, 0)), Shape((1, -1))}
+        shapes = generate_shapes(2, {0, 1})
+        assert shapes == [Shape((0, 0)), Shape((1, -1))]
 
-    @given(
-        st.integers(2, 4),
-        st.lists(
-            st.sets(st.integers(-5, 5), min_size=1, max_size=4),
-            min_size=1,
-            max_size=3,
-        ),
-    )
-    def test_zero_sum_and_cardinality(self, n, sets):
-        sets = (sets * n)[: n - 1]
-        spec = FamilySpec(n, tuple(frozenset(s) for s in sets))
-        shapes = generate_shapes(spec)
+    @given(st.integers(2, 4), st.sets(st.integers(-5, 5), min_size=1, max_size=4))
+    def test_zero_sum_and_cardinality(self, n, A):
+        shapes = generate_shapes(n, A)
         assert all(s.volume_exponent == 0 for s in shapes)
-        assert len(shapes) == math.prod(len(s) for s in sets)
+        assert all(is_member(s, n, A) for s in shapes)
+        assert len(set(shapes)) == len(shapes) == len(A) ** (n - 1)
+        assert shapes == sorted(shapes, key=lambda s: s.exponents)
 
 
 class TestIsMember:
     def test_plain_membership(self):
-        spec = FamilySpec.power(3, {0, 1, 2})
-        assert is_member(Shape((1, 1, -2)), spec)
-        assert not is_member(Shape((1, 1, -1)), spec)
+        assert is_member(Shape((1, 1, -2)), 3, {0, 1, 2})
+        assert not is_member(Shape((1, 1, -1)), 3, {0, 1, 2})
+        assert not is_member(Shape((3, 0, -3)), 3, {0, 1, 2})
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
-            is_member(Shape((0, 0)), FamilySpec.power(3, {0}))
+            is_member(Shape((0, 0)), 3, {0})
 
 
 class TestProgression:

@@ -152,8 +152,6 @@ class TestVerifyTheorem:
         assert rep.index_count == math.comb(5, 2)
 
     def test_union_inside_superlevel(self):
-        from dyadicmax.family import FamilySpec, generate_shapes
-
         A = {0, 1, 2, 3}
         rep = verify_theorem(2, A, 4)
         assert rep.inclusion_ok
