@@ -34,10 +34,8 @@ from .evaluator import (
     prefix_sums,
     rasterize,
     superlevel_measure,
-    union_measure,
 )
 from .family import (
-    Progression,
     find_progression,
     generate_shapes,
     is_member,

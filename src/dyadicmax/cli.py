@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 arithmetic hypothesis
-unsatisfiable (no progression), 4 cell budget exceeded, 5 a
-verification check failed.
+Exit codes: 0 success, 2 usage error (an output file that cannot be
+written included), 3 arithmetic hypothesis unsatisfiable (no
+progression), 4 cell budget exceeded, 5 a verification check failed.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
+        # the commands open no file but their --out, --csv and --series
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -148,7 +148,7 @@ def product_crystal(*scale_sets: ScaleSet) -> CrystalND:
 def crystal_measure(Y: CrystalND) -> DyadicRational:
     """Product of the exact factor measures 2^(a_max - (m-1))."""
     return reduce(
-        lambda acc, c: acc * c.measure(), Y.factors, DyadicRational.from_int(1)
+        lambda acc, c: acc * c.measure(), Y.factors, DyadicRational(1, 0)
     )
 
 

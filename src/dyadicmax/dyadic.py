@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 
+@total_ordering
 @dataclass(frozen=True)
 class DyadicRational:
     """Exact value mantissa * 2^exponent, canonical (mantissa odd or zero)."""
@@ -18,20 +20,13 @@ class DyadicRational:
     exponent: int
 
     def __post_init__(self):
-        if self.mantissa == 0:
-            if self.exponent != 0:
-                object.__setattr__(self, "exponent", 0)
+        m = self.mantissa
+        if m == 0:
+            object.__setattr__(self, "exponent", 0)
         else:
-            m, e = self.mantissa, self.exponent
-            while m % 2 == 0:
-                m //= 2
-                e += 1
-            object.__setattr__(self, "mantissa", m)
-            object.__setattr__(self, "exponent", e)
-
-    @classmethod
-    def from_int(cls, n: int) -> "DyadicRational":
-        return cls(n, 0)
+            tz = (m & -m).bit_length() - 1  # trailing zero bits of m
+            object.__setattr__(self, "mantissa", m >> tz)
+            object.__setattr__(self, "exponent", self.exponent + tz)
 
     @classmethod
     def pow2(cls, k: int) -> "DyadicRational":
@@ -48,18 +43,6 @@ class DyadicRational:
             return self
         return DyadicRational(self.mantissa, self.exponent + k)
 
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = min(self.exponent, other.exponent)
-        m = (self.mantissa << (self.exponent - e)) + (
-            other.mantissa << (other.exponent - e)
-        )
-        return DyadicRational(m, e)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(
-            self.mantissa * other.mantissa, self.exponent + other.exponent
-        )
-
     def _aligned(self, other: "DyadicRational") -> tuple[int, int]:
         e = min(self.exponent, other.exponent)
         return (
@@ -67,19 +50,18 @@ class DyadicRational:
             other.mantissa << (other.exponent - e),
         )
 
+    def __add__(self, other: "DyadicRational") -> "DyadicRational":
+        a, b = self._aligned(other)
+        return DyadicRational(a + b, min(self.exponent, other.exponent))
+
+    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
+        return DyadicRational(
+            self.mantissa * other.mantissa, self.exponent + other.exponent
+        )
+
     def __lt__(self, other: "DyadicRational") -> bool:
         a, b = self._aligned(other)
         return a < b
-
-    def __le__(self, other: "DyadicRational") -> bool:
-        a, b = self._aligned(other)
-        return a <= b
-
-    def __gt__(self, other: "DyadicRational") -> bool:
-        return other < self
-
-    def __ge__(self, other: "DyadicRational") -> bool:
-        return other <= self
 
     def __str__(self) -> str:
         return f"{self.mantissa}*2^{self.exponent}"

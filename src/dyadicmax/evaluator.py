@@ -258,8 +258,3 @@ def anchored_union_measure(shapes) -> AnchoredUnion:
         DyadicRational(union, unit),
         tuple(DyadicRational(p, unit) for p in private),
     )
-
-
-def union_measure(shapes) -> DyadicRational:
-    """Exact measure of the union of anchored boxes [0, 2^e_1] x ... ."""
-    return anchored_union_measure(shapes).union

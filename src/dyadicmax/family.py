@@ -8,7 +8,6 @@ translation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .crystal import Shape
@@ -32,27 +31,9 @@ def is_member(shape: Shape, n: int, A) -> bool:
     return sum(g) == 0 and all(a in A for a in g[:-1])
 
 
-@dataclass(frozen=True)
-class Progression:
-    """Arithmetic progression u_0 < u_1 < ... with positive integer step."""
-
-    values: tuple[int, ...]
-    step: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.step <= 0:
-            raise ParameterError("step must be positive")
-        u0 = self.values[0]
-        if any(u != u0 + k * self.step for k, u in enumerate(self.values)):
-            raise ParameterError(f"not arithmetic with step {self.step}: {self.values}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def find_progression(A, m: int) -> Progression | None:
-    """Smallest-step, then smallest-start, length-m progression in A, if any."""
+def find_progression(A, m: int) -> range | None:
+    """Smallest-step, then smallest-start, length-m progression in A, if
+    any, as range(u_0, u_0 + m d, d)."""
     if m < 2:
         raise ParameterError("progression length must be at least 2")
     elems = sorted(set(A))
@@ -71,5 +52,5 @@ def find_progression(A, m: int) -> Progression | None:
             if best is not None and d >= best.step:
                 break
             if all(u0 + i * d in members for i in range(2, m)):
-                best = Progression(tuple(u0 + i * d for i in range(m)), d)
+                best = range(u0, u0 + m * d, d)
     return best

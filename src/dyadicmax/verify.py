@@ -49,7 +49,7 @@ from .evaluator import (
     superlevel_mask,
     superlevel_measure,
 )
-from .family import Progression, find_progression, generate_shapes, is_member
+from .family import find_progression, generate_shapes, is_member
 
 CSV_COLUMNS = (
     "n",
@@ -77,8 +77,7 @@ class TheoremInstance:
     """All derived objects of the construction for one (n, progression)."""
 
     n: int
-    progression: Progression
-    generating_set: frozenset[int]
+    progression: range
     h: tuple[int, ...]
     X: ScaleSet
     Z: ScaleSet
@@ -97,29 +96,23 @@ class TheoremInstance:
 
 
 def build_instance(
-    n: int,
-    u: Progression,
-    A=None,
-    budget: int = DEFAULT_CELL_BUDGET,
+    n: int, u: range, budget: int = DEFAULT_CELL_BUDGET
 ) -> TheoremInstance:
-    """Construct E, all Y(i)/R(i), and assert the structural identities."""
+    """Construct E, all Y(i)/R(i) from the progression u, and assert the
+    structural identities.  Each R(i) is checked to generate B_(u^(n-1)),
+    which lies inside B_(A^(n-1)) for any A containing u."""
     if n < 2:
         raise ParameterError("dimension must be at least 2")
     m = len(u)
     if m < 2:
         raise ParameterError("progression must have length at least 2")
-    A = frozenset(A) if A is not None else frozenset(u.values)
-    if not set(u.values) <= A:
-        raise ParameterError("progression is not contained in the generating set")
-    u0, d = u.values[0], u.step
+    u0, d = u[0], u.step
     h = tuple((n - 1) * u0 + d * s for s in range(m))
-    X = ScaleSet(u.values)
+    X = ScaleSet(u)
     Z = ScaleSet(tuple(-hs for hs in reversed(h)))
     E = CrystalND((build_crystal(X),) * (n - 1) + (build_crystal(Z),))
     grid = GridSpec(
-        (u.values[0],) * (n - 1) + (-h[-1],),
-        (u.values[-1],) * (n - 1) + (-h[0],),
-        budget,
+        (u0,) * (n - 1) + (-h[-1],), (u[-1],) * (n - 1) + (-h[0],), budget
     )
     indices = tuple(
         i for i in iproduct(range(m), repeat=n - 1) if sum(i) <= m - 1
@@ -128,25 +121,23 @@ def build_instance(
     Y, R = {}, {}
     for i in indices:
         s = sum(i)
-        factors = tuple(build_crystal(ScaleSet(u.values[ik:])) for ik in i)
+        factors = tuple(build_crystal(ScaleSet(u[ik:])) for ik in i)
         z_scales = ScaleSet(tuple(-hs for hs in reversed(h[: s + 1])))
         Yi = CrystalND(factors + (build_crystal(z_scales),))
         Ri = primitive_rectangle(Yi)
-        expected = Shape(tuple(u.values[ik] for ik in i) + (-h[s],))
+        expected = Shape(tuple(u[ik] for ik in i) + (-h[s],))
         if Ri != expected:
             raise ConstructionError(f"primitive rectangle mismatch at index {i}")
-        if h[s] != sum(u.values[ik] for ik in i):
+        if h[s] != sum(u[ik] for ik in i):
             raise ConstructionError(f"resonance identity fails at index {i}")
-        if not is_member(Ri, n, A):
+        if not is_member(Ri, n, u):
             raise ConstructionError(
                 f"primitive rectangle {Ri.exponents} not in the family at index {i}"
             )
         if crystal_measure(Yi) != measure_E.scale2(m - 1):
             raise ConstructionError(f"|Y| != 2^(m-1)|E| at index {i}")
         Y[i], R[i] = Yi, Ri
-    return TheoremInstance(
-        n, u, A, h, X, Z, E, indices, Y, R, grid
-    )
+    return TheoremInstance(n, u, h, X, Z, E, indices, Y, R, grid)
 
 
 @dataclass(frozen=True)
@@ -160,17 +151,16 @@ class HomogeneityResult:
 def check_homogeneity(
     instance: TheoremInstance,
     i: tuple[int, ...],
-    mask_E: BitMask | None = None,
+    mask_E: BitMask,
 ) -> HomogeneityResult:
     """Rasterized check that every cell of Y(i) sees an R(i)-average of
-    1_E at least 2^-k, where |Y(i)| = 2^k |Y(i) ∩ E|."""
-    if mask_E is None:
-        mask_E = rasterize(instance.E, instance.grid)
+    1_E at least 2^-k, where |Y(i)| = 2^k |Y(i) ∩ E|; mask_E is E
+    rasterized on the instance grid."""
     mask_Y = rasterize(instance.Y[i], instance.grid)
-    inter = mask_Y.values & mask_E.values
-    if not np.array_equal(inter, mask_E.values):
+    outside = mask_E.values & ~mask_Y.values
+    if outside.any():
         # E ⊂ Y(i) must hold; report the first offending cell
-        bad = np.argwhere(mask_E.values & ~mask_Y.values)[0]
+        bad = np.argwhere(outside)[0]
         return HomogeneityResult(i, -1, False, tuple(int(v) for v in bad))
     # E ⊂ Y(i), so |Y(i) ∩ E| = |E|; both measures are canonical (odd
     # mantissa), so their ratio is a power of two iff the mantissas agree
@@ -234,20 +224,21 @@ class VerificationReport:
     superlevel: DyadicRational  # at the main threshold
     threshold: DyadicRational
     ratio: Fraction  # superlevel / (m^(n-1) 2^m |E|)
-    superlevel_alt: DyadicRational | None
-    threshold_alt: DyadicRational | None
-    ratio_alt: Fraction | None
     index_count: int
-    min_delta: Fraction | None
-    rho: Fraction | None
-    union_Y: DyadicRational | None
-    inclusion_ok: bool | None
-    homogeneity_ok: bool | None
-    disjointness_ok: bool | None
     shapes_used: int
-    shapes_skipped: int
     runtime_ms: float
     passed: bool
+    # theorem reports only; a cube report leaves them at their defaults
+    superlevel_alt: DyadicRational | None = None
+    threshold_alt: DyadicRational | None = None
+    ratio_alt: Fraction | None = None
+    min_delta: Fraction | None = None
+    rho: Fraction | None = None
+    union_Y: DyadicRational | None = None
+    inclusion_ok: bool | None = None
+    homogeneity_ok: bool | None = None
+    disjointness_ok: bool | None = None
+    shapes_skipped: int = 0
 
     def csv_row(self) -> dict:
         return {
@@ -316,12 +307,11 @@ def verify_theorem(
     t0 = time.perf_counter()
     if n < 2:
         raise ParameterError("dimension must be at least 2")
-    prog = find_progression(A, m)
-    if prog is None:
-        raise NoProgressionError(
-            f"no arithmetic progression of length {m} in {sorted(set(A))}"
-        )
-    inst = build_instance(n, prog, A, budget)
+    u = find_progression(A, m)
+    A = sorted(set(A))
+    if u is None:
+        raise NoProgressionError(f"no arithmetic progression of length {m} in {A}")
+    inst = build_instance(n, u, budget)
     mask_E = rasterize(inst.E, inst.grid)
     hom = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
     hom_ok = all(r.passed for r in hom)
@@ -332,7 +322,7 @@ def verify_theorem(
     lo, hi = inst.grid.resolution[0], inst.grid.extent[0]
     fitting = {a for a in A if lo <= a <= hi}
     used = [s for s in generate_shapes(n, fitting) if inst.grid.compatible_shape(s)]
-    skipped = len(inst.generating_set) ** (n - 1) - len(used)
+    skipped = len(A) ** (n - 1) - len(used)
     fld = maximal_field(mask_E, used)
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)
@@ -350,9 +340,7 @@ def verify_theorem(
         kind="theorem",
         n=n,
         m=m,
-        description=(
-            f"n={n}, A={sorted(set(A))}, progression={prog.values} step {prog.step}"
-        ),
+        description=f"n={n}, A={A}, progression={tuple(u)} step {u.step}",
         measure_E=inst.measure_E(),
         superlevel=S,
         threshold=thr,
@@ -403,18 +391,8 @@ def cube_counterexample(
         superlevel=S,
         threshold=thr,
         ratio=ratio,
-        superlevel_alt=None,
-        threshold_alt=None,
-        ratio_alt=None,
         index_count=len(shapes),
-        min_delta=None,
-        rho=None,
-        union_Y=None,
-        inclusion_ok=None,
-        homogeneity_ok=None,
-        disjointness_ok=None,
         shapes_used=len(shapes),
-        shapes_skipped=0,
         runtime_ms=runtime,
         passed=ratio > 0,
     )

@@ -34,7 +34,7 @@ from dyadicmax.evaluator import (
     box_sum,
     rasterize,
 )
-from dyadicmax.family import Progression, is_member
+from dyadicmax.family import is_member
 from dyadicmax.verify import (
     build_instance,
     check_homogeneity,
@@ -173,8 +173,7 @@ def test_criterion_4_homogeneity():
     with criterion(4, "homogeneity of every suffix crystal"):
         for n, m_top in ((2, 10), (3, 6)):
             for m in range(2, m_top + 1):
-                u = Progression(tuple(range(m)), 1)
-                inst = build_instance(n, u)
+                inst = build_instance(n, range(m))
                 mask_E = rasterize(inst.E, inst.grid)
                 mE = inst.measure_E()
                 for i in inst.indices:
@@ -231,7 +230,7 @@ def test_criterion_8_membership_consistency():
             for s in generate_shapes(n, A):
                 assert s.volume_exponent == 0
             for m in ms:
-                inst = build_instance(n, find_progression(A, m), A)
+                inst = build_instance(n, find_progression(A, m))
                 for i in inst.indices:
                     assert is_member(inst.R[i], n, A)
                     assert inst.R[i].volume_exponent == 0

@@ -217,6 +217,22 @@ class TestVerifyCommand:
         assert ei.value.code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2", "--set", "0,1,2", "--m", "3", "--out"],
+        ["verify", "--n", "2", "--set", "0,1,2", "--m", "3", "--csv"],
+        ["sweep", "--n", "2", "--m", "2..3", "--series"],
+    ],
+)
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert main(argv + [str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_row_count_and_determinism(self, tmp_path):
         a = tmp_path / "a.csv"

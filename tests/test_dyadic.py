@@ -50,9 +50,14 @@ class TestDyadicRational:
     )
     def test_matches_fractions(self, m1, e1, m2, e2):
         a, b = DyadicRational(m1, e1), DyadicRational(m2, e2)
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-        assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
+        fa, fb = a.as_fraction(), b.as_fraction()
+        assert (a + b).as_fraction() == fa + fb
+        assert (a * b).as_fraction() == fa * fb
+        assert (a < b) == (fa < fb)
+        assert (a <= b) == (fa <= fb)
+        assert (a > b) == (fa > fb)
+        assert (a >= b) == (fa >= fb)
+        assert (a == b) == (fa == fb)
 
 
 class TestIntervalSet:

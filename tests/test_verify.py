@@ -14,7 +14,6 @@ from dyadicmax.crystal import ScaleSet, Shape
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import ConstructionError, NoProgressionError, ParameterError
 from dyadicmax.evaluator import BitMask, maximal_field, rasterize, superlevel_measure
-from dyadicmax.family import Progression
 from dyadicmax.verify import (
     CSV_COLUMNS,
     build_instance,
@@ -26,35 +25,31 @@ from dyadicmax.verify import (
 )
 
 
-def prog(*values):
-    return Progression(values, values[1] - values[0])
-
-
 class TestBuildInstance:
     def test_n3_u012(self):
-        inst = build_instance(3, prog(0, 1, 2))
+        inst = build_instance(3, range(3))
         assert inst.h == (0, 1, 2)
         assert inst.Z == ScaleSet((-2, -1, 0))
         assert len(inst.indices) == 6
         assert all(sum(i) <= 2 for i in inst.indices)
 
     def test_smallest_case(self):
-        inst = build_instance(2, prog(0, 1))
+        inst = build_instance(2, range(2))
         assert inst.R[(0,)] == Shape((0, 0))
 
     def test_zero_sum_primitive_shapes(self):
-        inst = build_instance(3, prog(1, 3, 5))
+        inst = build_instance(3, range(1, 7, 2))
         for i in inst.indices:
             assert inst.R[i].volume_exponent == 0
 
     def test_index_count_is_binomial(self):
         for n in (2, 3):
             for m in (2, 3, 4):
-                inst = build_instance(n, prog(*range(m)))
+                inst = build_instance(n, range(m))
                 assert len(inst.indices) == math.comb(m - 1 + n - 1, n - 1)
 
     def test_measure_identity(self):
-        inst = build_instance(2, prog(0, 2, 4))
+        inst = build_instance(2, range(0, 6, 2))
         for i in inst.indices:
             from dyadicmax.crystal import crystal_measure
 
@@ -63,7 +58,7 @@ class TestBuildInstance:
             )
 
     def test_E_contained_in_every_Y(self):
-        inst = build_instance(2, prog(0, 1, 2))
+        inst = build_instance(2, range(3))
         mask_E = rasterize(inst.E, inst.grid)
         for i in inst.indices:
             mask_Y = rasterize(inst.Y[i], inst.grid)
@@ -71,25 +66,28 @@ class TestBuildInstance:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            build_instance(1, prog(0, 1))
+            build_instance(1, range(2))
         with pytest.raises(ParameterError):
-            build_instance(2, prog(0, 1), A={5, 6})
+            build_instance(2, range(1))
+        with pytest.raises(ParameterError):
+            build_instance(2, range(2, 0, -1))
 
 
 class TestHomogeneity:
     def test_smallest_case(self):
-        inst = build_instance(2, prog(0, 1))
-        r = check_homogeneity(inst, (0,))
+        inst = build_instance(2, range(2))
+        r = check_homogeneity(inst, (0,), rasterize(inst.E, inst.grid))
         assert r.passed and r.k <= 1
 
     def test_n2_u012_all_pass_with_k2(self):
-        inst = build_instance(2, prog(0, 1, 2))
+        inst = build_instance(2, range(3))
+        mask_E = rasterize(inst.E, inst.grid)
         for i in inst.indices:
-            r = check_homogeneity(inst, i)
+            r = check_homogeneity(inst, i, mask_E)
             assert r.passed and r.k == 2
 
     def test_n3_u012_all_six_pass(self):
-        inst = build_instance(3, prog(0, 1, 2))
+        inst = build_instance(3, range(3))
         mask_E = rasterize(inst.E, inst.grid)
         results = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
         assert len(results) == 6
@@ -98,7 +96,7 @@ class TestHomogeneity:
     def test_ratio_not_a_power_of_two_raises(self, monkeypatch):
         # one extra cell outside E keeps E ⊂ Y(i), but |Y(i)| is then
         # 2^k |E| plus one cell, not a power of two times |E|
-        inst = build_instance(2, prog(0, 1, 2))
+        inst = build_instance(2, range(3))
         i = inst.indices[-1]
         mask_E = rasterize(inst.E, inst.grid)
 
@@ -114,17 +112,35 @@ class TestHomogeneity:
         with pytest.raises(ConstructionError, match="power of two"):
             check_homogeneity(inst, i, mask_E)
 
+    def test_cell_of_E_outside_Y_is_the_witness(self, monkeypatch):
+        # drop the last cell of E from Y(i): E ⊂ Y(i) fails there
+        inst = build_instance(2, range(3))
+        i = inst.indices[-1]
+        mask_E = rasterize(inst.E, inst.grid)
+        last = np.argwhere(mask_E.values)[-1]
+
+        def one_cell_missing(Y, grid):
+            mask = rasterize(Y, grid)
+            values = mask.values.copy()
+            values[tuple(last)] = False
+            return BitMask(grid, values)
+
+        monkeypatch.setattr(dyadicmax.verify, "rasterize", one_cell_missing)
+        r = check_homogeneity(inst, i, mask_E)
+        assert not r.passed and r.k == -1
+        assert r.counterexample == tuple(int(v) for v in last)
+
 
 class TestDisjointness:
     def test_n2_u012(self):
-        inst = build_instance(2, prog(0, 1, 2))
+        inst = build_instance(2, range(3))
         d = check_disjointness(inst)
         assert d.passed
         assert d.min_delta == Fraction(1, 4)
         assert d.sum_Y.as_fraction() == 3 * inst.measure_E().as_fraction() * 4
 
     def test_sum_identity(self):
-        inst = build_instance(3, prog(0, 1, 2))
+        inst = build_instance(3, range(3))
         d = check_disjointness(inst)
         assert d.sum_Y == DyadicRational(
             len(inst.indices), 0
