@@ -71,6 +71,14 @@ def _parse_m_range(text: str) -> range:
     return _parse_range(text, "m range")
 
 
+def _check_writable(*paths) -> None:
+    """Open every given output path for append before the run, so an
+    unwritable one fails at once; append truncates no existing file."""
+    for path in paths:
+        if path:
+            open(path, "a").close()
+
+
 def _write_reports_csv(path: str, reports) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -114,6 +122,7 @@ def cmd_crystal(args) -> int:
 
 def cmd_verify(args) -> int:
     A = _parse_int_set(args.set)
+    _check_writable(args.out, args.csv)
     report = verify_theorem(args.n, A, args.m, budget=args.budget)
     if args.out:
         with open(args.out, "w") as fh:
@@ -132,6 +141,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     ms = _parse_m_range(args.m)
     A = _parse_int_set(args.set) if args.set else frozenset(range(0, ms.stop - 1))
+    _check_writable(args.csv, args.series)
     reports = []
     worst = EXIT_OK
     for m in ms:
@@ -157,6 +167,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_cube(args) -> int:
     ms = _parse_m_range(args.m)
+    _check_writable(args.csv)
     reports = []
     worst = EXIT_OK
     for m in ms:

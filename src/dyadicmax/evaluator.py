@@ -8,6 +8,11 @@ doubling passes over the dyadic windows.  Every value is an integer
 numerator over a power-of-two denominator, so all comparisons and
 measures are exact.
 
+A field that is an outer product of lower-dimensional fields, such as
+the unit cube's family field (the n-fold product of one 1D field), is
+never built: `product_superlevel_measure` counts its superlevel set over
+the value classes of the factors.
+
 Only cell-aligned translates are enumerated and cells outside the
 bounding box count as zero, so every superlevel measure reported here
 is a certified lower bound for the true maximal operator.
@@ -195,13 +200,13 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     return AverageField(grid, out, D)
 
 
-def _count_threshold(fieldobj: AverageField, threshold: DyadicRational) -> int:
+def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
     """Smallest integer c with c * 2^(-denom_exp) >= threshold."""
-    return math.ceil(threshold.as_fraction() * (1 << fieldobj.denom_exp))
+    return math.ceil(threshold.as_fraction() * (1 << denom_exp))
 
 
 def superlevel_mask(fieldobj: AverageField, threshold: DyadicRational) -> np.ndarray:
-    c = _count_threshold(fieldobj, threshold)
+    c = _count_threshold(fieldobj.denom_exp, threshold)
     if c > np.iinfo(np.int64).max:
         return np.zeros_like(fieldobj.num, dtype=bool)
     return fieldobj.num >= c
@@ -213,6 +218,27 @@ def superlevel_measure(
     """Measure of {field >= threshold} (closed comparison)."""
     count = int(superlevel_mask(fieldobj, threshold).sum())
     return DyadicRational(count, fieldobj.grid.cell_volume_exponent)
+
+
+def product_superlevel_measure(fields, threshold: DyadicRational) -> DyadicRational:
+    """Measure of {f_1 x ... x f_k >= threshold} for the field whose value
+    at a cell (x_1, ..., x_k) is the product of the values f_j(x_j), on
+    the product of the fields' grids.
+
+    Each field is compressed to its distinct values and their cell
+    multiplicities; the count adds the multiplicity products of the value
+    tuples whose product reaches the threshold, over prod_j (classes of
+    f_j) tuples instead of prod_j (cells of f_j) cells, in Python ints."""
+    fields = list(fields)
+    values, counts = [], []
+    for f in fields:
+        vals, mult = np.unique(f.num, return_counts=True)
+        values.append(vals.astype(object))
+        counts.append(mult.astype(object))
+    c = _count_threshold(sum(f.denom_exp for f in fields), threshold)
+    reached = reduce(np.multiply.outer, values) >= c
+    count = int(reduce(np.multiply.outer, counts)[reached].sum())
+    return DyadicRational(count, sum(f.grid.cell_volume_exponent for f in fields))
 
 
 @dataclass(frozen=True)

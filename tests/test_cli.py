@@ -223,9 +223,17 @@ class TestVerifyCommand:
         ["verify", "--n", "2", "--set", "0,1,2", "--m", "3", "--out"],
         ["verify", "--n", "2", "--set", "0,1,2", "--m", "3", "--csv"],
         ["sweep", "--n", "2", "--m", "2..3", "--series"],
+        ["sweep", "--n", "2", "--m", "2..3", "--csv"],
+        ["cube", "--n", "2", "--m", "1..3", "--csv"],
     ],
 )
-def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+def test_unwritable_output_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # the path is checked before the run: no certification starts
+    def never(*args, **kwargs):
+        raise AssertionError("ran a certification before checking the output path")
+
+    monkeypatch.setattr(dyadicmax.cli, "verify_theorem", never)
+    monkeypatch.setattr(dyadicmax.cli, "cube_counterexample", never)
     path = tmp_path / "missing" / "out"
     assert main(argv + [str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -1,4 +1,7 @@
+import math
 from fractions import Fraction
+from functools import reduce
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from dyadicmax.evaluator import (
     box_sum,
     maximal_field,
     prefix_sums,
+    product_superlevel_measure,
     rasterize,
     superlevel_measure,
 )
@@ -72,6 +76,22 @@ def brute_force_cases(draw):
     ]
     rects = draw(st.lists(st.tuples(*exponent), min_size=1, max_size=3))
     return BitMask(grid, values), rects
+
+
+@st.composite
+def product_field_cases(draw):
+    """1D masks on n = 1..3 axes of at most 64 cells in all, at mixed
+    resolutions, and one to three shape exponents per axis."""
+    n = draw(st.integers(1, 3))
+    masks, exps, spare = [], [], 6
+    for _ in range(n):
+        k = draw(st.integers(0, spare))
+        spare -= k
+        r = draw(st.integers(-2, 2))
+        bits = draw(st.lists(st.booleans(), min_size=1 << k, max_size=1 << k))
+        masks.append(BitMask(GridSpec((r,), (r + k,)), np.array(bits, dtype=bool)))
+        exps.append(draw(st.lists(st.integers(r, r + k), min_size=1, max_size=3)))
+    return masks, exps
 
 
 class TestGridSpec:
@@ -237,6 +257,47 @@ class TestSuperlevel:
         )
         assert count == 7
         assert got == DyadicRational(7, 0)
+
+
+class TestProductSuperlevel:
+    @given(
+        case=product_field_cases(),
+        kind=st.sampled_from(["zero", "one", "above", "attained", "dyadic"]),
+        j=st.integers(0, 1 << 8),
+        e=st.integers(0, 12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_against_the_outer_product(self, case, kind, j, e):
+        masks, exps = case
+        fields = [
+            maximal_field(mask, [Shape((a,)) for a in ex])
+            for mask, ex in zip(masks, exps)
+        ]
+        num = reduce(np.multiply.outer, [f.num for f in fields])
+        D = sum(f.denom_exp for f in fields)
+        thr = {
+            "zero": DyadicRational(0, 0),
+            "one": DyadicRational(1, 0),
+            "above": DyadicRational(int(num.max()) + 1, -D),
+            "attained": DyadicRational(int(num.flat[j % num.size]), -D),
+            "dyadic": DyadicRational(j, -e),
+        }[kind]
+        count = int((num >= math.ceil(thr.as_fraction() * (1 << D))).sum())
+        res = sum(mask.grid.resolution[0] for mask in masks)
+        assert product_superlevel_measure(fields, thr) == DyadicRational(count, res)
+        if kind == "above":
+            assert count == 0
+        # the outer product is the dense field of the product set over
+        # the product shape set
+        grid = GridSpec(
+            [mask.grid.resolution[0] for mask in masks],
+            [mask.grid.extent[0] for mask in masks],
+        )
+        values = reduce(np.logical_and.outer, [mask.values for mask in masks])
+        dense = maximal_field(
+            BitMask(grid, values), [Shape(s) for s in iproduct(*exps)]
+        )
+        assert dense.denom_exp == D and np.array_equal(dense.num, num)
 
 
 def assert_matches_naive_oracle(shapes):

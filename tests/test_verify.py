@@ -4,16 +4,23 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product as iproduct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dyadicmax
-from dyadicmax.crystal import ScaleSet, Shape
+from dyadicmax.crystal import CrystalND, ScaleSet, Shape, build_crystal
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import ConstructionError, NoProgressionError, ParameterError
-from dyadicmax.evaluator import BitMask, maximal_field, rasterize, superlevel_measure
+from dyadicmax.evaluator import (
+    BitMask,
+    GridSpec,
+    maximal_field,
+    rasterize,
+    superlevel_measure,
+)
 from dyadicmax.verify import (
     CSV_COLUMNS,
     build_instance,
@@ -208,10 +215,6 @@ class TestCubeCounterexample:
 
     def test_monotone_in_shape_set(self):
         # growing the shape set can only grow the superlevel set
-        from dyadicmax.crystal import CrystalND, build_crystal
-        from dyadicmax.evaluator import GridSpec
-        from itertools import product as iproduct
-
         m = 3
         grid = GridSpec((0, 0), (m, m))
         Q = CrystalND((build_crystal(ScaleSet((0,))),) * 2)
@@ -226,6 +229,20 @@ class TestCubeCounterexample:
         with pytest.raises(ParameterError):
             cube_counterexample(0, 3)
 
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in (1, 2, 3) for m in range(1, 16 // n + 1)]
+    )
+    def test_matches_the_dense_pipeline(self, n, m):
+        # Q rasterized on the n-D grid and one dense field over [0, m]^n
+        grid = GridSpec((0,) * n, (m,) * n)
+        mask = rasterize(CrystalND((build_crystal(ScaleSet((0,))),) * n), grid)
+        shapes = [Shape(e) for e in iproduct(range(m + 1), repeat=n)]
+        fld = maximal_field(mask, shapes)
+        rep = cube_counterexample(n, m)
+        assert rep.superlevel == superlevel_measure(fld, DyadicRational.pow2(-m))
+        assert rep.measure_E == mask.measure()
+        assert rep.index_count == rep.shapes_used == len(shapes)
+
     def test_runtime_includes_rasterization(self, monkeypatch):
         # the clock starts on entry, so building the mask counts too
         def slow_rasterize(E, grid):
@@ -234,6 +251,22 @@ class TestCubeCounterexample:
 
         monkeypatch.setattr(dyadicmax.verify, "rasterize", slow_rasterize)
         assert cube_counterexample(1, 1).runtime_ms >= 50
+
+
+class TestCubeClosedForms:
+    """Conjectured closed forms of the cube ratio: fitted on computed
+    values and checked here, not proved.  n=2 m=14 is a 2^28-cell grid,
+    on which one int64 array of the dense evaluator takes 2 GiB."""
+
+    @pytest.mark.parametrize("m", range(9, 15))
+    def test_n2(self, m):
+        assert cube_counterexample(2, m).ratio == Fraction(m + 2, 2 * m)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_n3(self, m):
+        assert cube_counterexample(3, m).ratio == Fraction(
+            m * m + 7 * m + 8, 8 * m * m
+        )
 
 
 def test_fraction_decimal_deterministic():
