@@ -114,7 +114,7 @@ def cmd_crystal(args) -> int:
     mu = c.measure()
     print(f"scales: {A.to_text()}")
     print(f"resolution: 2^{A.min}  extent: [0, 2^{A.max}]")
-    sys.stdout.write(f"cells ({int(values.sum())} of {grid.ncells}): ")
+    sys.stdout.write(f"cells ({int(np.count_nonzero(values))} of {grid.ncells}): ")
     _write_cell_list(values)
     print(f"measure: {mu} = {fraction_decimal(mu.as_fraction())}")
     return EXIT_OK

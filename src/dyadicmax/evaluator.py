@@ -6,7 +6,9 @@ maximum over shapes and cell-aligned in-box placements (`maximal_field`
 says why overhanging ones can be skipped), taken one axis at a time by
 doubling passes over the dyadic windows.  Every value is an integer
 numerator over a power-of-two denominator, so all comparisons and
-measures are exact.
+measures are exact.  The kernel works in the smallest unsigned integer
+type that holds the common numerator 2^D (uint8 up to D = 7, uint16 up
+to D = 15) and widens the finished field to int64 once.
 
 A field that is an outer product of lower-dimensional fields, such as
 the unit cube's family field (the n-fold product of one 1D field), is
@@ -87,7 +89,9 @@ class BitMask:
     values: np.ndarray  # bool, shape = grid.shape
 
     def measure(self) -> DyadicRational:
-        return DyadicRational(int(self.values.sum()), self.grid.cell_volume_exponent)
+        return DyadicRational(
+            int(np.count_nonzero(self.values)), self.grid.cell_volume_exponent
+        )
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,17 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     pass with window k the axis has length L = M + k - 1 and S[x] is the
     maximum over the anchors in [x - k + 1, x] ∩ [0, M - 1]; the pass
     sets U[x] = max(S[x - k], S[x]) over the indices inside [0, L), for
-    x in [0, L + k), which is the same statement for 2k."""
+    x in [0, L + k), which is the same statement for 2k.
+
+    With D the largest shape volume exponent in cells, every value the
+    kernel holds is at most 2^D: a window count is at most the window's
+    2^(D_s) cells, and shifting it by D - D_s to the common denominator
+    keeps it at most 2^D because an average is at most 1.  So the kernel
+    runs in dt = min_scalar_type(2^D), and only the returned numerators
+    are int64.  The prefix table is reduced to dt once and may wrap, but
+    the window counts stay exact: inclusion-exclusion is an integer
+    identity, so it holds modulo 2^bits(dt), and the true count lies in
+    [0, 2^D], inside [0, 2^bits(dt))."""
     shapes = list(shapes)
     if not shapes:
         raise ParameterError("need at least one shape")
@@ -180,8 +194,9 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     if D > 62:
         raise ParameterError(f"common denominator exponent {D} overflows int64")
-    P = prefix_sums(mask)
-    out = np.zeros(grid.shape, dtype=np.int64)
+    dt = np.min_scalar_type(1 << D)
+    P = prefix_sums(mask).astype(dt)
+    out = np.zeros(grid.shape, dtype=dt)
     for shape, window in zip(shapes, windows):
         S = _placement_counts(P, window)
         for ax, w in enumerate(window):
@@ -189,7 +204,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
             k = 1
             while k < w:
                 L = S.shape[ax]
-                U = np.empty(S.shape[:ax] + (L + k,) + S.shape[ax + 1:], np.int64)
+                U = np.empty(S.shape[:ax] + (L + k,) + S.shape[ax + 1:], dt)
                 U[lead + (slice(None, k),)] = S[lead + (slice(None, k),)]
                 np.maximum(S[lead + (slice(k, None),)], S[lead + (slice(None, L - k),)],
                            out=U[lead + (slice(k, L),)])
@@ -197,7 +212,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
                 S, k = U, 2 * k
         S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
         np.maximum(out, S, out=out)
-    return AverageField(grid, out, D)
+    return AverageField(grid, out.astype(np.int64), D)
 
 
 def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
@@ -216,7 +231,7 @@ def superlevel_measure(
     fieldobj: AverageField, threshold: DyadicRational
 ) -> DyadicRational:
     """Measure of {field >= threshold} (closed comparison)."""
-    count = int(superlevel_mask(fieldobj, threshold).sum())
+    count = int(np.count_nonzero(superlevel_mask(fieldobj, threshold)))
     return DyadicRational(count, fieldobj.grid.cell_volume_exponent)
 
 

@@ -334,7 +334,7 @@ def verify_theorem(
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)
     lvl = superlevel_mask(fld, thr)
-    S = DyadicRational(int(lvl.sum()), inst.grid.cell_volume_exponent)
+    S = DyadicRational(int(np.count_nonzero(lvl)), inst.grid.cell_volume_exponent)
     S_alt = superlevel_measure(fld, thr_alt)
     inclusion_ok = bool(not (union_Y_mask(inst) & ~lvl).any())
 

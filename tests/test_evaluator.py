@@ -190,6 +190,22 @@ class TestPrefixSums:
                 assert box_sum(P, lo, hi) == naive_box_sum(mask.values, lo, hi)
 
 
+def assert_field_matches_naive(mask, rects):
+    """The maximal field of the shapes with exponents `rects` against the
+    brute-force oracle, which scans every overhanging anchor as well."""
+    fld = maximal_field(mask, [Shape(r) for r in rects])
+    assert fld.num.dtype == np.int64
+    den = Fraction(1, 1 << fld.denom_exp)
+    windows = [
+        tuple(1 << (e - r) for e, r in zip(rect, mask.grid.resolution))
+        for rect in rects
+    ]
+    want = naive_maximal(mask.values, windows)
+    for idx in np.ndindex(*mask.grid.shape):
+        assert int(fld.num[idx]) * den == want[idx]
+    return fld
+
+
 class TestMaximalField:
     def test_single_cell_shape_is_mask(self):
         mask = random_mask((8, 8))
@@ -220,17 +236,35 @@ class TestMaximalField:
     @example(case=_fixed_case((4, 2, 4, 4), [(1, 1, 0, 2), (2, 0, 1, 1)]))
     @settings(max_examples=80, deadline=None)
     def test_against_brute_force(self, case):
-        # the oracle scans every overhanging anchor as well
-        mask, rects = case
-        fld = maximal_field(mask, [Shape(r) for r in rects])
-        den = Fraction(1, 1 << fld.denom_exp)
-        windows = [
-            tuple(1 << (e - r) for e, r in zip(rect, mask.grid.resolution))
-            for rect in rects
-        ]
-        want = naive_maximal(mask.values, windows)
-        for idx in np.ndindex(*mask.grid.shape):
-            assert int(fld.num[idx]) * den == want[idx]
+        assert_field_matches_naive(*case)
+
+    @pytest.mark.parametrize("D", [7, 8, 15, 16])
+    def test_full_window_at_the_dtype_edges(self, D):
+        # 2^7 and 2^15 are the largest numerators a uint8 and a uint16
+        # kernel hold, 2^8 and 2^16 the first that need uint16 and uint32;
+        # the all-ones grid holds two windows, so at D = 7 and 15 its
+        # 2^(D+1) set cells wrap the narrow prefix table to zero
+        a = D // 2
+        grid = GridSpec((0, 0), (a + 1, D - a))
+        full = BitMask(grid, np.ones(grid.shape, bool))
+        fld = maximal_field(full, [Shape((a, D - a))])
+        assert fld.num.dtype == np.int64 and fld.denom_exp == D
+        assert (fld.num == 1 << D).all()
+
+    def test_wrapping_prefix_table(self):
+        # 8-cell windows give D = 3 and a uint8 kernel; the mask has more
+        # set cells than uint8 counts, so the prefix table wraps
+        mask, rects = _fixed_case((32, 32), [(1, 2), (3, 0), (0, 3), (2, 1)])
+        assert np.count_nonzero(mask.values) > np.iinfo(np.uint8).max
+        assert assert_field_matches_naive(mask, rects).denom_exp == 3
+
+    def test_small_window_shifted_to_the_common_denominator(self):
+        # a full 2-cell window next to the 128-cell one: its count 2 is
+        # shifted by 6 to exactly 2^D = 128, the top of the uint8 kernel
+        mask, rects = _fixed_case((8, 16), [(3, 4), (0, 1), (0, 0)])
+        mask.values[0, :2] = True
+        fld = assert_field_matches_naive(mask, rects)
+        assert fld.denom_exp == 7 and fld.num[0, 0] == 1 << 7
 
 
 class TestSuperlevel:
