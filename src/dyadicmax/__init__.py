@@ -16,7 +16,6 @@ from .crystal import (
     crystal_measure,
     primitive_rectangle,
     product_crystal,
-    suffix,
 )
 from .dyadic import DyadicRational
 from .errors import (

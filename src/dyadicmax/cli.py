@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .crystal import CrystalND, ScaleSet, build_crystal
+from .crystal import ScaleSet, crystal_measure, product_crystal
 from .errors import BudgetExceededError, NoProgressionError, ParameterError
 from .evaluator import DEFAULT_CELL_BUDGET, GridSpec, rasterize
 from .verify import CSV_COLUMNS, cube_counterexample, fraction_decimal, verify_theorem
@@ -58,13 +58,18 @@ def _parse_range(text: str, what: str) -> range:
     return r
 
 
+def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, in the order given."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"malformed {what}: {text!r}") from exc
+
+
 def _parse_int_set(text: str) -> frozenset[int]:
     if ".." in text:
         return frozenset(_parse_range(text, "integer set"))
-    try:
-        return frozenset(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"malformed integer set: {text!r}") from exc
+    return frozenset(_parse_int_list(text, "integer set"))
 
 
 def _parse_m_range(text: str) -> range:
@@ -107,12 +112,12 @@ def _write_cell_list(values: np.ndarray) -> None:
 
 
 def cmd_crystal(args) -> int:
-    A = ScaleSet.from_text(args.scales)
-    c = build_crystal(A)
+    A = ScaleSet(_parse_int_list(args.scales, "scale list"))
+    c = product_crystal(A)
     grid = GridSpec((A.min,), (A.max,))
-    values = rasterize(CrystalND((c,)), grid).values
-    mu = c.measure()
-    print(f"scales: {A.to_text()}")
+    values = rasterize(c, grid).values
+    mu = crystal_measure(c)
+    print(f"scales: {','.join(map(str, A))}")
     print(f"resolution: 2^{A.min}  extent: [0, 2^{A.max}]")
     sys.stdout.write(f"cells ({int(np.count_nonzero(values))} of {grid.ncells}): ")
     _write_cell_list(values)

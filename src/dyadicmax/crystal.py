@@ -49,24 +49,6 @@ class ScaleSet:
     def max(self) -> int:
         return self.scales[-1]
 
-    def to_text(self) -> str:
-        return ",".join(str(a) for a in self.scales)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ScaleSet":
-        try:
-            scales = tuple(int(t) for t in text.split(","))
-        except ValueError as exc:
-            raise ParameterError(f"malformed scale list: {text!r}") from exc
-        return cls(scales)
-
-
-def suffix(A: ScaleSet, i: int) -> ScaleSet:
-    """The tail {a_i < ... < a_m} of A, with 1-based index i."""
-    if not 1 <= i <= len(A):
-        raise ParameterError(f"suffix index {i} out of range 1..{len(A)}")
-    return ScaleSet(A.scales[i - 1 :])
-
 
 @dataclass(frozen=True)
 class Crystal1D:
@@ -142,6 +124,7 @@ class CrystalND:
 
 
 def product_crystal(*scale_sets: ScaleSet) -> CrystalND:
+    """The product of the crystals over the scale sets, one per axis."""
     return CrystalND(tuple(build_crystal(A) for A in scale_sets))
 
 

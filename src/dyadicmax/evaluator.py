@@ -130,15 +130,6 @@ def prefix_sums(mask: BitMask) -> np.ndarray:
     return P
 
 
-def box_sum(P: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
-    """Count of set cells in the half-open cell box [lo, hi): one prefix
-    difference per axis, since box counts are separable."""
-    S = P
-    for l, h in zip(lo, hi):
-        S = S[h] - S[l]
-    return int(S)
-
-
 def _placement_counts(P: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     """Counts of the window placed at every in-box anchor
     p_j in [0, N_j - w_j] of the grid whose prefix table is P: one slice

@@ -39,9 +39,9 @@ from .crystal import (
     CrystalND,
     ScaleSet,
     Shape,
-    build_crystal,
     crystal_measure,
     primitive_rectangle,
+    product_crystal,
 )
 from .dyadic import DyadicRational
 from .errors import ConstructionError, NoProgressionError, ParameterError
@@ -72,10 +72,10 @@ CSV_COLUMNS = (
 )
 
 
-def fraction_decimal(q: Fraction, digits: int = 12) -> str:
-    """Deterministic decimal rendering (advisory; exact values live in
-    the mantissa/exponent columns)."""
-    ctx = decimal.Context(prec=digits)
+def fraction_decimal(q: Fraction) -> str:
+    """Deterministic 12-digit decimal rendering (advisory; exact values
+    live in the mantissa/exponent columns)."""
+    ctx = decimal.Context(prec=12)
     return str(ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
 
 
@@ -117,7 +117,7 @@ def build_instance(
     h = tuple((n - 1) * u0 + d * s for s in range(m))
     X = ScaleSet(u)
     Z = ScaleSet(tuple(-hs for hs in reversed(h)))
-    E = CrystalND((build_crystal(X),) * (n - 1) + (build_crystal(Z),))
+    E = product_crystal(*[X] * (n - 1), Z)
     grid = GridSpec(
         (u0,) * (n - 1) + (-h[-1],), (u[-1],) * (n - 1) + (-h[0],), budget
     )
@@ -128,9 +128,8 @@ def build_instance(
     Y, R = {}, {}
     for i in indices:
         s = sum(i)
-        factors = tuple(build_crystal(ScaleSet(u[ik:])) for ik in i)
         z_scales = ScaleSet(tuple(-hs for hs in reversed(h[: s + 1])))
-        Yi = CrystalND(factors + (build_crystal(z_scales),))
+        Yi = product_crystal(*(ScaleSet(u[ik:]) for ik in i), z_scales)
         Ri = primitive_rectangle(Yi)
         expected = Shape(tuple(u[ik] for ik in i) + (-h[s],))
         if Ri != expected:
@@ -149,7 +148,6 @@ def build_instance(
 
 @dataclass(frozen=True)
 class HomogeneityResult:
-    index: tuple[int, ...]
     k: int
     passed: bool
     counterexample: tuple[int, ...] | None = None
@@ -168,7 +166,7 @@ def check_homogeneity(
     if outside.any():
         # E ⊂ Y(i) must hold; report the first offending cell
         bad = np.argwhere(outside)[0]
-        return HomogeneityResult(i, -1, False, tuple(int(v) for v in bad))
+        return HomogeneityResult(-1, False, tuple(int(v) for v in bad))
     # E ⊂ Y(i), so |Y(i) ∩ E| = |E|; both measures are canonical (odd
     # mantissa), so their ratio is a power of two iff the mantissas agree
     mu_Y, mu_E = mask_Y.measure(), mask_E.measure()
@@ -180,8 +178,8 @@ def check_homogeneity(
     viol = mask_Y.values & ~ok
     if viol.any():
         bad = np.argwhere(viol)[0]
-        return HomogeneityResult(i, k, False, tuple(int(v) for v in bad))
-    return HomogeneityResult(i, k, True)
+        return HomogeneityResult(k, False, tuple(int(v) for v in bad))
+    return HomogeneityResult(k, True)
 
 
 @dataclass(frozen=True)
@@ -314,10 +312,13 @@ def verify_theorem(
     t0 = time.perf_counter()
     if n < 2:
         raise ParameterError("dimension must be at least 2")
-    u = find_progression(A, m)
     A = sorted(set(A))
+    u = find_progression(A, m)
     if u is None:
-        raise NoProgressionError(f"no arithmetic progression of length {m} in {A}")
+        span = f", {A[0]}..{A[-1]}" if A else ""
+        raise NoProgressionError(
+            f"no arithmetic progression of length {m} in A (|A| = {len(A)}{span})"
+        )
     inst = build_instance(n, u, budget)
     mask_E = rasterize(inst.E, inst.grid)
     hom = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
@@ -385,7 +386,7 @@ def cube_counterexample(
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 and m >= 1")
     GridSpec((0,) * n, (m,) * n, budget)  # the budget check alone
-    unit = CrystalND((build_crystal(ScaleSet((0,))),))
+    unit = product_crystal(ScaleSet((0,)))
     mask = rasterize(unit, GridSpec((0,), (m,), budget))
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])
     thr = DyadicRational.pow2(-m)

@@ -101,6 +101,14 @@ class TestCrystalCommand:
         assert main(["crystal", f"--scales={scales}"]) == EXIT_OK
         assert capsys.readouterr().out == CRYSTAL_STDOUT[scales]
 
+    def test_scales_roundtrip(self, capsys):
+        # the `scales:` line reprints the parsed list; a malformed entry is
+        # a usage error that quotes the text as given
+        assert main(["crystal", "--scales=-2,0,3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "scales: -2,0,3"
+        assert main(["crystal", "--scales", "1,x"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: malformed scale list: '1,x'\n"
+
     def test_cell_list_spans_chunks(self, capsys):
         # 2^18 cells, every even one kept: four chunks of the mask
         assert (1 << 18) > 2 * CELL_CHUNK
@@ -137,6 +145,19 @@ class TestVerifyCommand:
     def test_no_progression_exit_code(self):
         rc = main(["verify", "--n", "2", "--set", "1,2,4,8", "--m", "3"])
         assert rc == EXIT_NO_PROGRESSION
+
+    def test_no_progression_message_is_bounded(self, capsys):
+        # the message names |A| and its span, not the 200000 members
+        argv = ["--n", "2", "--set", "0..199999", "--m"]
+        assert main(["verify", *argv, "300000"]) == EXIT_NO_PROGRESSION
+        err = capsys.readouterr().err
+        assert err == (
+            "error: no arithmetic progression of length 300000 in A "
+            "(|A| = 200000, 0..199999)\n"
+        )
+        assert main(["sweep", *argv, "300000..300002"]) == EXIT_NO_PROGRESSION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3 and all(len(line) < 100 for line in lines)
 
     def test_dimension_is_checked_before_the_progression(self, capsys):
         assert main(["verify", "--n", "1", "--set", "0", "--m", "2"]) == EXIT_USAGE

@@ -22,7 +22,6 @@ from dyadicmax.evaluator import (
     BitMask,
     GridSpec,
     anchored_union_measure,
-    box_sum,
     maximal_field,
     prefix_sums,
     product_superlevel_measure,
@@ -168,26 +167,33 @@ class TestRasterize:
 
 
 class TestPrefixSums:
+    """The contract: entry i of the table counts the set cells in the
+    half-open box [0, i)."""
+
     def test_full_box_is_popcount(self):
         mask = random_mask((8, 8))
         P = prefix_sums(mask)
-        assert box_sum(P, (0, 0), (8, 8)) == int(mask.values.sum())
+        assert P.shape == (9, 9)
+        assert P[8, 8] == int(mask.values.sum())
 
     def test_single_cell(self):
-        mask = random_mask((4, 8))
-        P = prefix_sums(mask)
-        for idx in [(0, 0), (3, 7), (2, 5)]:
-            hi = tuple(i + 1 for i in idx)
-            assert box_sum(P, idx, hi) == int(mask.values[idx])
+        # [0, i) holds the one set cell c exactly when i > c on every axis
+        grid = GridSpec((0, 0), (2, 3))
+        for c in [(0, 0), (3, 7), (2, 5)]:
+            values = np.zeros(grid.shape, dtype=bool)
+            values[c] = True
+            P = prefix_sums(BitMask(grid, values))
+            for i in np.ndindex(P.shape):
+                assert P[i] == all(a > b for a, b in zip(i, c))
 
     def test_random_boxes_against_naive(self):
         for shape in [(16,), (8, 16), (4, 8, 8)]:
             mask = random_mask(shape)
             P = prefix_sums(mask)
+            origin = (0,) * len(shape)
             for _ in range(50):
-                lo = tuple(int(rng.integers(0, n)) for n in shape)
-                hi = tuple(int(rng.integers(l + 1, n + 1)) for l, n in zip(lo, shape))
-                assert box_sum(P, lo, hi) == naive_box_sum(mask.values, lo, hi)
+                i = tuple(int(rng.integers(0, n + 1)) for n in shape)
+                assert P[i] == naive_box_sum(mask.values, origin, i)
 
 
 def assert_field_matches_naive(mask, rects):

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import dyadicmax
-from dyadicmax.crystal import CrystalND, ScaleSet, Shape, build_crystal
+from dyadicmax.crystal import ScaleSet, Shape, product_crystal
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import ConstructionError, NoProgressionError, ParameterError
 from dyadicmax.evaluator import (
+    DEFAULT_CELL_BUDGET,
     BitMask,
     GridSpec,
+    anchored_union_measure,
     maximal_field,
     rasterize,
     superlevel_measure,
@@ -30,6 +32,7 @@ from dyadicmax.verify import (
     fraction_decimal,
     verify_theorem,
 )
+from dyadicmax.family import find_progression, generate_shapes
 
 
 class TestBuildInstance:
@@ -160,6 +163,23 @@ class TestVerifyTheorem:
         with pytest.raises(NoProgressionError):
             verify_theorem(2, {1, 2, 4, 8}, 3)
 
+    @pytest.mark.parametrize(
+        "A, named",
+        [
+            (range(200_000), "|A| = 200000, 0..199999"),
+            ({8, -3, 5}, "|A| = 3, -3..8"),
+            (set(), "|A| = 0)"),
+        ],
+    )
+    def test_no_progression_names_the_size_and_span_of_A(self, A, named):
+        with pytest.raises(NoProgressionError) as ei:
+            verify_theorem(2, A, 300_000)
+        assert named in str(ei.value) and len(str(ei.value)) < 100
+
+    def test_a_one_shot_iterable_is_read_once(self):
+        rep = verify_theorem(2, iter([0, 1, 2]), 3)
+        assert rep.passed and rep.description.startswith("n=2, A=[0, 1, 2],")
+
     def test_n2_m3_report(self):
         rep = verify_theorem(2, {0, 1, 2}, 3)
         assert rep.passed
@@ -217,7 +237,7 @@ class TestCubeCounterexample:
         # growing the shape set can only grow the superlevel set
         m = 3
         grid = GridSpec((0, 0), (m, m))
-        Q = CrystalND((build_crystal(ScaleSet((0,))),) * 2)
+        Q = product_crystal(*[ScaleSet((0,))] * 2)
         mask = rasterize(Q, grid)
         shapes = [Shape(e) for e in iproduct(range(m + 1), repeat=2)]
         small = maximal_field(mask, shapes[:3])
@@ -235,7 +255,7 @@ class TestCubeCounterexample:
     def test_matches_the_dense_pipeline(self, n, m):
         # Q rasterized on the n-D grid and one dense field over [0, m]^n
         grid = GridSpec((0,) * n, (m,) * n)
-        mask = rasterize(CrystalND((build_crystal(ScaleSet((0,))),) * n), grid)
+        mask = rasterize(product_crystal(*[ScaleSet((0,))] * n), grid)
         shapes = [Shape(e) for e in iproduct(range(m + 1), repeat=n)]
         fld = maximal_field(mask, shapes)
         rep = cube_counterexample(n, m)
@@ -267,6 +287,58 @@ class TestCubeClosedForms:
         assert cube_counterexample(3, m).ratio == Fraction(
             m * m + 7 * m + 8, 8 * m * m
         )
+
+
+def step_one_union(n, A, m, budget=DEFAULT_CELL_BUDGET):
+    """The step-1 oracle.  On a progression of step 1 every crystal
+    factor of E is over consecutive scales, so E is one grid cell, and
+    every family generator has unit volume, so the family field is
+    2^-(m-1) on the union of the anchored windows of the generators that
+    fit the grid and 0 elsewhere.  Both superlevel sets and the union of
+    the Y(i) are then the anchored union of those generators, selected
+    by the same filter as `verify_theorem`.  Returns the instance and
+    that union's measure; nothing is rasterized."""
+    A = sorted(set(A))
+    inst = build_instance(n, find_progression(A, m), budget)
+    lo, hi = inst.grid.resolution[0], inst.grid.extent[0]
+    fitting = {a for a in A if lo <= a <= hi}
+    used = [s for s in generate_shapes(n, fitting) if inst.grid.compatible_shape(s)]
+    return inst, anchored_union_measure(used).union
+
+
+class TestStepOneOracle:
+    @pytest.mark.parametrize("k", [-40, -7, 0, 13, 40])
+    @pytest.mark.parametrize("n, m_top", [(2, 10), (3, 6), (4, 5)])
+    def test_dense_run_is_one_anchored_union(self, n, m_top, k):
+        for m in range(2, m_top + 1):
+            A = range(k, k + m)
+            rep = verify_theorem(n, A, m)
+            inst, union = step_one_union(n, A, m)
+            # E is one grid cell
+            assert inst.measure_E() == DyadicRational.pow2(inst.grid.cell_volume_exponent)
+            assert rep.superlevel == rep.superlevel_alt == rep.union_Y == union
+            assert rep.passed
+
+
+class TestStepOneClosedForms:
+    """Conjectured closed forms of the theorem ratio on A = u = 0..m-1:
+    fitted on computed values and checked here through the symbolic
+    step-1 oracle, not proved.  The huge budget admits grids that are
+    never allocated."""
+
+    @staticmethod
+    def ratio(n, m):
+        inst, union = step_one_union(n, range(m), m, budget=1 << 4096)
+        scale = Fraction(m ** (n - 1) * 2**m) * inst.measure_E().as_fraction()
+        return union.as_fraction() / scale
+
+    def test_n2(self):
+        for m in range(2, 101):
+            assert self.ratio(2, m) == Fraction(m + 1, 4 * m), m
+
+    def test_n3(self):
+        for m in range(2, 41):
+            assert self.ratio(3, m) == Fraction(m * m + 5 * m + 2, 16 * m * m), m
 
 
 def test_fraction_decimal_deterministic():
