@@ -32,7 +32,6 @@ from .evaluator import (
     maximal_field,
     prefix_sums,
     rasterize,
-    superlevel_measure,
 )
 from .family import (
     find_progression,

@@ -72,10 +72,6 @@ def _parse_int_set(text: str) -> frozenset[int]:
     return frozenset(_parse_int_list(text, "integer set"))
 
 
-def _parse_m_range(text: str) -> range:
-    return _parse_range(text, "m range")
-
-
 def _check_writable(*paths) -> None:
     """Open every given output path for append before the run, so an
     unwritable one fails at once; append truncates no existing file."""
@@ -90,12 +86,6 @@ def _write_reports_csv(path: str, reports) -> None:
         w.writeheader()
         for rep in reports:
             w.writerow(rep.csv_row())
-
-
-def _write_series(path: str, reports) -> None:
-    with open(path, "w") as fh:
-        for rep in reports:
-            fh.write(f"{rep.m} {fraction_decimal(rep.ratio)}\n")
 
 
 def _write_cell_list(values: np.ndarray) -> None:
@@ -143,47 +133,47 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(args) -> int:
-    ms = _parse_m_range(args.m)
-    A = _parse_int_set(args.set) if args.set else frozenset(range(0, ms.stop - 1))
-    _check_writable(args.csv, args.series)
-    reports = []
-    worst = EXIT_OK
+def _run_per_m(ms, run, csv_path, series_path=None, verdict=False) -> int:
+    """Run `run(m)` for each m, printing one line per report, then write
+    the CSV and series of the reports made.  An m without a progression
+    is reported on stderr and skipped; the worst exit code wins."""
+    _check_writable(csv_path, series_path)
+    reports, worst = [], EXIT_OK
     for m in ms:
         try:
-            rep = verify_theorem(args.n, A, m, budget=args.budget)
+            rep = run(m)
         except NoProgressionError as exc:
             print(f"m={m}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_NO_PROGRESSION)
             continue
         reports.append(rep)
-        print(
-            f"m={m} S={rep.superlevel} ratio={fraction_decimal(rep.ratio)} "
-            f"passed={rep.passed}"
-        )
+        tail = f" passed={rep.passed}" if verdict else ""
+        print(f"m={m} S={rep.superlevel} ratio={fraction_decimal(rep.ratio)}{tail}")
         if not rep.passed:
             worst = max(worst, EXIT_CHECK_FAILED)
-    if args.csv:
-        _write_reports_csv(args.csv, reports)
-    if args.series:
-        _write_series(args.series, reports)
+    if csv_path:
+        _write_reports_csv(csv_path, reports)
+    if series_path:
+        with open(series_path, "w") as fh:
+            fh.writelines(f"{r.m} {fraction_decimal(r.ratio)}\n" for r in reports)
     return worst
+
+
+def cmd_sweep(args) -> int:
+    ms = _parse_range(args.m, "m range")
+    A = _parse_int_set(args.set) if args.set else frozenset(range(0, ms.stop - 1))
+    return _run_per_m(
+        ms, lambda m: verify_theorem(args.n, A, m, budget=args.budget),
+        args.csv, args.series, verdict=True,
+    )
 
 
 def cmd_cube(args) -> int:
-    ms = _parse_m_range(args.m)
-    _check_writable(args.csv)
-    reports = []
-    worst = EXIT_OK
-    for m in ms:
-        rep = cube_counterexample(args.n, m, budget=args.budget)
-        reports.append(rep)
-        print(f"m={m} S={rep.superlevel} ratio={fraction_decimal(rep.ratio)}")
-        if not rep.passed:
-            worst = max(worst, EXIT_CHECK_FAILED)
-    if args.csv:
-        _write_reports_csv(args.csv, reports)
-    return worst
+    return _run_per_m(
+        _parse_range(args.m, "m range"),
+        lambda m: cube_counterexample(args.n, m, budget=args.budget),
+        args.csv,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

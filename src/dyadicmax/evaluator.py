@@ -50,6 +50,10 @@ class GridSpec:
             raise ParameterError("resolution/extent dimension mismatch")
         if any(r > L for r, L in zip(self.resolution, self.extent)):
             raise ParameterError("resolution coarser than extent")
+        if not isinstance(self.budget, int) or self.budget <= 0:
+            raise ParameterError(
+                f"cell budget must be a positive integer, got {self.budget!r}"
+            )
         # 2^k > budget exactly when k reaches the budget's bit length; the
         # cell count 2^k itself may be too long to build or print
         if self.cells_exponent >= self.budget.bit_length():
@@ -216,14 +220,6 @@ def superlevel_mask(fieldobj: AverageField, threshold: DyadicRational) -> np.nda
     if c > np.iinfo(np.int64).max:
         return np.zeros_like(fieldobj.num, dtype=bool)
     return fieldobj.num >= c
-
-
-def superlevel_measure(
-    fieldobj: AverageField, threshold: DyadicRational
-) -> DyadicRational:
-    """Measure of {field >= threshold} (closed comparison)."""
-    count = int(np.count_nonzero(superlevel_mask(fieldobj, threshold)))
-    return DyadicRational(count, fieldobj.grid.cell_volume_exponent)
 
 
 def product_superlevel_measure(fields, threshold: DyadicRational) -> DyadicRational:

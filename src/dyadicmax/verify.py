@@ -14,6 +14,9 @@ R(i), and certifies on an exact grid that
     full family maximal field, so the reported superlevel measure is a
     certified lower bound.
 
+A `VerificationReport` stores what a run measured and the outcome of
+each check; it derives the sharpness ratio and the verdict from them.
+
 The unit-cube example (`cube_counterexample`) is evaluated as a
 product: one 1D field of [0, 1] over the side exponents 0..m, whose
 n-fold product has its superlevel set counted over the field's value
@@ -54,22 +57,18 @@ from .evaluator import (
     product_superlevel_measure,
     rasterize,
     superlevel_mask,
-    superlevel_measure,
 )
 from .family import find_progression, generate_shapes, is_member
 
 CSV_COLUMNS = (
-    "n",
-    "m",
-    "measure_E_mantissa",
-    "measure_E_exp",
-    "superlevel_mantissa",
-    "superlevel_exp",
-    "ratio_decimal",
-    "index_count",
-    "min_delta",
-    "runtime_ms",
+    "n", "m", "measure_E_mantissa", "measure_E_exp", "superlevel_mantissa",
+    "superlevel_exp", "ratio_decimal", "index_count", "min_delta", "runtime_ms",
 )
+
+
+def fraction_text(q: Fraction | None) -> str | None:
+    """The exact `p/q` rendering used by the JSON and the CSV."""
+    return None if q is None else f"{q.numerator}/{q.denominator}"
 
 
 def fraction_decimal(q: Fraction) -> str:
@@ -228,15 +227,12 @@ class VerificationReport:
     measure_E: DyadicRational
     superlevel: DyadicRational  # at the main threshold
     threshold: DyadicRational
-    ratio: Fraction  # superlevel / (m^(n-1) 2^m |E|)
     index_count: int
     shapes_used: int
     runtime_ms: float
-    passed: bool
     # theorem reports only; a cube report leaves them at their defaults
     superlevel_alt: DyadicRational | None = None
     threshold_alt: DyadicRational | None = None
-    ratio_alt: Fraction | None = None
     min_delta: Fraction | None = None
     rho: Fraction | None = None
     union_Y: DyadicRational | None = None
@@ -245,30 +241,38 @@ class VerificationReport:
     disjointness_ok: bool | None = None
     shapes_skipped: int = 0
 
+    def _sharpness(self, S: DyadicRational) -> Fraction:
+        """The sharpness ratio S / (m^(n-1) 2^m |E|)."""
+        scale = self.m ** (self.n - 1) * 2**self.m * self.measure_E.as_fraction()
+        return S.as_fraction() / scale
+
+    @property
+    def ratio(self) -> Fraction:
+        return self._sharpness(self.superlevel)
+
+    @property
+    def ratio_alt(self) -> Fraction | None:
+        S = self.superlevel_alt
+        return None if S is None else self._sharpness(S)
+
+    @property
+    def passed(self) -> bool:
+        """A positive ratio and no failed check; a cube runs no checks."""
+        checks = (self.homogeneity_ok, self.disjointness_ok, self.inclusion_ok)
+        return self.ratio > 0 and False not in checks
+
     def csv_row(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "measure_E_mantissa": self.measure_E.mantissa,
-            "measure_E_exp": self.measure_E.exponent,
-            "superlevel_mantissa": self.superlevel.mantissa,
-            "superlevel_exp": self.superlevel.exponent,
-            "ratio_decimal": fraction_decimal(self.ratio),
-            "index_count": self.index_count,
-            "min_delta": (
-                f"{self.min_delta.numerator}/{self.min_delta.denominator}"
-                if self.min_delta is not None
-                else ""
-            ),
-            "runtime_ms": f"{self.runtime_ms:.1f}",
-        }
+        E, S = self.measure_E, self.superlevel
+        values = (
+            self.n, self.m, E.mantissa, E.exponent, S.mantissa, S.exponent,
+            fraction_decimal(self.ratio), self.index_count,
+            fraction_text(self.min_delta) or "", f"{self.runtime_ms:.1f}",
+        )
+        return dict(zip(CSV_COLUMNS, values, strict=True))
 
     def to_json_dict(self) -> dict:
         def dy(x):
             return None if x is None else {"mantissa": x.mantissa, "exponent": x.exponent}
-
-        def fr(x):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
 
         return {
             "schema_version": 1,
@@ -279,14 +283,14 @@ class VerificationReport:
             "measure_E": dy(self.measure_E),
             "threshold": dy(self.threshold),
             "superlevel": dy(self.superlevel),
-            "ratio": fr(self.ratio),
+            "ratio": fraction_text(self.ratio),
             "ratio_decimal": fraction_decimal(self.ratio),
             "threshold_alt": dy(self.threshold_alt),
             "superlevel_alt": dy(self.superlevel_alt),
-            "ratio_alt": fr(self.ratio_alt),
+            "ratio_alt": fraction_text(self.ratio_alt),
             "index_count": self.index_count,
-            "min_delta": fr(self.min_delta),
-            "rho": fr(self.rho),
+            "min_delta": fraction_text(self.min_delta),
+            "rho": fraction_text(self.rho),
             "union_Y": dy(self.union_Y),
             "inclusion_ok": self.inclusion_ok,
             "homogeneity_ok": self.homogeneity_ok,
@@ -306,9 +310,9 @@ class VerificationReport:
 def verify_theorem(
     n: int, A, m: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> VerificationReport:
-    """Full certification run: homogeneity, disjointness, superlevel
-    measure of the family maximal field, and the sharpness ratio
-    S / (m^(n-1) 2^m |E|) at threshold 2^-(m-1) (2^-m reported too)."""
+    """Full certification run: homogeneity, disjointness, and the
+    superlevel measure of the family maximal field at threshold
+    2^-(m-1) (2^-m reported too); the report derives the ratio."""
     t0 = time.perf_counter()
     if n < 2:
         raise ParameterError("dimension must be at least 2")
@@ -335,15 +339,10 @@ def verify_theorem(
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)
     lvl = superlevel_mask(fld, thr)
-    S = DyadicRational(int(np.count_nonzero(lvl)), inst.grid.cell_volume_exponent)
-    S_alt = superlevel_measure(fld, thr_alt)
+    S = BitMask(inst.grid, lvl).measure()
+    S_alt = BitMask(inst.grid, superlevel_mask(fld, thr_alt)).measure()
     inclusion_ok = bool(not (union_Y_mask(inst) & ~lvl).any())
-
-    scale = Fraction(m ** (n - 1)) * Fraction(2) ** m * inst.measure_E().as_fraction()
-    ratio = S.as_fraction() / scale
-    ratio_alt = S_alt.as_fraction() / scale
     runtime = (time.perf_counter() - t0) * 1000.0
-    passed = hom_ok and disj.passed and inclusion_ok and ratio > 0
     return VerificationReport(
         kind="theorem",
         n=n,
@@ -352,10 +351,8 @@ def verify_theorem(
         measure_E=inst.measure_E(),
         superlevel=S,
         threshold=thr,
-        ratio=ratio,
         superlevel_alt=S_alt,
         threshold_alt=thr_alt,
-        ratio_alt=ratio_alt,
         index_count=len(inst.indices),
         min_delta=disj.min_delta,
         rho=disj.rho,
@@ -366,7 +363,6 @@ def verify_theorem(
         shapes_used=len(used),
         shapes_skipped=skipped,
         runtime_ms=runtime,
-        passed=passed,
     )
 
 
@@ -391,8 +387,6 @@ def cube_counterexample(
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])
     thr = DyadicRational.pow2(-m)
     S = product_superlevel_measure([fld] * n, thr)
-    scale = Fraction(m ** (n - 1)) * Fraction(2) ** m  # |Q| = 1
-    ratio = S.as_fraction() / scale
     runtime = (time.perf_counter() - t0) * 1000.0
     nshapes = (m + 1) ** n
     return VerificationReport(
@@ -403,9 +397,7 @@ def cube_counterexample(
         measure_E=reduce(DyadicRational.__mul__, [mask.measure()] * n),
         superlevel=S,
         threshold=thr,
-        ratio=ratio,
         index_count=nshapes,
         shapes_used=nshapes,
         runtime_ms=runtime,
-        passed=ratio > 0,
     )

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,11 +21,14 @@ from dyadicmax.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _parse_int_set,
-    _parse_m_range,
+    _parse_range,
     main,
 )
 from dyadicmax.errors import ParameterError
 from dyadicmax.evaluator import DEFAULT_CELL_BUDGET
+from dyadicmax.verify import verify_theorem
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # full `dyadicmax crystal` stdout, pinned byte for byte (recorded, not recomputed)
 CRYSTAL_STDOUT = {
@@ -292,6 +297,127 @@ class TestSweepCommand:
         assert all(float(l.split()[1]) > 0 for l in lines)
 
 
+CHECK_FLAGS = ("homogeneity_ok", "disjointness_ok", "inclusion_ok")
+
+
+@pytest.fixture(params=CHECK_FLAGS)
+def failing_check(request, monkeypatch):
+    """Make one construction check fail on every instance; returns the
+    report flag that it sets."""
+    mod = dyadicmax.verify
+    if request.param == "homogeneity_ok":
+        real = mod.check_homogeneity
+        monkeypatch.setattr(
+            mod, "check_homogeneity",
+            lambda inst, i, mask_E: dataclasses.replace(
+                real(inst, i, mask_E), passed=False
+            ),
+        )
+    elif request.param == "disjointness_ok":
+        real = mod.check_disjointness
+        monkeypatch.setattr(
+            mod, "check_disjointness",
+            lambda inst: dataclasses.replace(real(inst), passed=False),
+        )
+    else:
+        # a union of the Y(i) that fills the grid is not inside the
+        # superlevel set, which on these instances leaves a cell out
+        monkeypatch.setattr(
+            mod, "union_Y_mask", lambda inst: np.ones(inst.grid.shape, dtype=bool)
+        )
+    return request.param
+
+
+class TestFailedCheck:
+    def test_report_is_not_passed(self, failing_check):
+        rep = verify_theorem(2, {0, 1, 2}, 3)
+        assert {f: getattr(rep, f) for f in CHECK_FLAGS} == {
+            f: f != failing_check for f in CHECK_FLAGS
+        }
+        assert rep.ratio > 0
+        assert rep.passed is False
+        assert json.loads(rep.to_json())["passed"] is False
+
+    def test_verify_exits_check_failed(self, failing_check, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["verify", "--n", "2", "--set", "0,1,2", "--m", "3", "--out", str(out)]
+        assert main(argv) == EXIT_CHECK_FAILED == 5
+        d = json.loads(out.read_text())
+        assert d["passed"] is False and d[failing_check] is False
+        assert capsys.readouterr().out.endswith(" passed=False\n")
+
+    def test_sweep_exits_check_failed_and_writes_every_row(
+        self, failing_check, tmp_path, capsys
+    ):
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n", "2", "--m", "2..4", "--csv", str(path)]
+        assert main(argv) == EXIT_CHECK_FAILED
+        with open(path) as fh:
+            assert [r["m"] for r in csv.DictReader(fh)] == ["2", "3", "4"]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(" passed=False") for line in lines)
+
+    def test_worst_exit_code_wins(self, failing_check, capsys):
+        # m=2 fails a check (5), m=3 has no progression in the set (3)
+        argv = ["sweep", "--n", "2", "--set", "1,2,4,8", "--m", "2..3"]
+        assert main(argv) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("m=3: no arithmetic progression")
+
+
+def golden_payloads(name, verdict):
+    """The CSV rows (runtime_ms aside), `--series` lines and stdout lines
+    that a run over the golden file's configurations must print, derived
+    from the golden JSON alone."""
+    rows, series, stdout = [], [], []
+    for g in json.loads((GOLDEN / name).read_text()):
+        E, S = g["measure_E"], g["superlevel"]
+        rows.append({
+            "n": str(g["n"]),
+            "m": str(g["m"]),
+            "measure_E_mantissa": str(E["mantissa"]),
+            "measure_E_exp": str(E["exponent"]),
+            "superlevel_mantissa": str(S["mantissa"]),
+            "superlevel_exp": str(S["exponent"]),
+            "ratio_decimal": g["ratio_decimal"],
+            "index_count": str(g["index_count"]),
+            "min_delta": g["min_delta"] or "",
+        })
+        series.append(f"{g['m']} {g['ratio_decimal']}")
+        tail = f" passed={g['passed']}" if verdict else ""
+        stdout.append(
+            f"m={g['m']} S={S['mantissa']}*2^{S['exponent']} "
+            f"ratio={g['ratio_decimal']}{tail}"
+        )
+    return rows, series, stdout
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("sweep_n2.json", ["sweep", "--n", "2", "--m", "2..10"]),
+        ("sweep_n3.json", ["sweep", "--n", "3", "--m", "2..6"]),
+        ("cube_n2.json", ["cube", "--n", "2", "--m", "1..8"]),
+    ],
+)
+def test_cli_payloads_match_the_goldens(name, argv, tmp_path, capsys):
+    sweep = argv[0] == "sweep"
+    rows, series, stdout = golden_payloads(name, verdict=sweep)
+    csv_path, series_path = tmp_path / "out.csv", tmp_path / "series.txt"
+    argv = argv + ["--csv", str(csv_path)]
+    if sweep:
+        argv += ["--series", str(series_path)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == stdout
+    with open(csv_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        got = list(reader)
+    assert reader.fieldnames == [*rows[0], "runtime_ms"]
+    assert [{k: r[k] for k in rows[0]} for r in got] == rows
+    if sweep:
+        assert series_path.read_text().splitlines() == series
+
+
 class TestCubeCommand:
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "cube.csv"
@@ -331,12 +457,12 @@ class TestRangeParsers:
         assert "lo > hi" in capsys.readouterr().err
 
     def test_single_point_ranges(self):
-        assert _parse_m_range("4..4") == range(4, 5)
+        assert _parse_range("4..4", "m range") == range(4, 5)
         assert _parse_int_set("-2..-2") == frozenset({-2})
 
     @given(st.one_of(st.text(max_size=8), _shaped))
     def test_non_empty_value_or_parameter_error(self, text):
-        for parse in (_parse_int_set, _parse_m_range):
+        for parse in (_parse_int_set, lambda t: _parse_range(t, "m range")):
             try:
                 value = parse(text)
             except ParameterError:

@@ -26,7 +26,7 @@ from dyadicmax.evaluator import (
     prefix_sums,
     product_superlevel_measure,
     rasterize,
-    superlevel_measure,
+    superlevel_mask,
 )
 
 rng = np.random.default_rng(20260824)
@@ -115,6 +115,12 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ParameterError):
             GridSpec((1,), (0,))
+
+    @pytest.mark.parametrize("budget", [0, -1, -5, 4.0, 2.5, "8", None])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        # a negative budget must not act as its absolute value
+        with pytest.raises(ParameterError, match="positive integer"):
+            GridSpec((0, 0), (1, 1), budget=budget)
 
 
 class TestRasterize:
@@ -277,19 +283,21 @@ class TestSuperlevel:
     def test_threshold_zero_is_full_box(self):
         mask = random_mask((8, 8))
         fld = maximal_field(mask, [Shape((1, 1))])
-        assert superlevel_measure(fld, DyadicRational(0, 0)) == DyadicRational(64, 0)
+        full = BitMask(mask.grid, superlevel_mask(fld, DyadicRational(0, 0)))
+        assert full.measure() == DyadicRational(64, 0)
 
     def test_threshold_above_one_is_empty(self):
         mask = random_mask((8, 8))
         fld = maximal_field(mask, [Shape((1, 1))])
-        assert superlevel_measure(fld, DyadicRational(3, -1)) == DyadicRational(0, 0)
+        empty = BitMask(mask.grid, superlevel_mask(fld, DyadicRational(3, -1)))
+        assert empty.measure() == DyadicRational(0, 0)
 
     def test_frozen_square_example(self):
         # E = [0,1]^2 in [0,4]^2, shapes (2,0) and (0,2), threshold 1/4
         E = product_crystal(ScaleSet((0,)), ScaleSet((0,)))
         mask = rasterize(E, GridSpec((0, 0), (2, 2)))
         fld = maximal_field(mask, [Shape((2, 0)), Shape((0, 2))])
-        got = superlevel_measure(fld, DyadicRational(1, -2))
+        got = BitMask(mask.grid, superlevel_mask(fld, DyadicRational(1, -2))).measure()
         # frozen from the brute-force oracle
         want = naive_maximal(mask.values, [(4, 1), (1, 4)])
         count = sum(

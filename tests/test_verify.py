@@ -21,7 +21,7 @@ from dyadicmax.evaluator import (
     anchored_union_measure,
     maximal_field,
     rasterize,
-    superlevel_measure,
+    superlevel_mask,
 )
 from dyadicmax.verify import (
     CSV_COLUMNS,
@@ -243,11 +243,21 @@ class TestCubeCounterexample:
         small = maximal_field(mask, shapes[:3])
         big = maximal_field(mask, shapes)
         thr = DyadicRational.pow2(-m)
-        assert superlevel_measure(small, thr) <= superlevel_measure(big, thr)
+        S_small, S_big = (
+            BitMask(grid, superlevel_mask(f, thr)).measure() for f in (small, big)
+        )
+        assert S_small <= S_big
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             cube_counterexample(0, 3)
+
+    @pytest.mark.parametrize("budget", [-7, 0, 64.0])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(ParameterError, match="positive integer"):
+            cube_counterexample(2, 1, budget=budget)
+        with pytest.raises(ParameterError, match="positive integer"):
+            verify_theorem(2, {0, 1, 2}, 3, budget=budget)
 
     @pytest.mark.parametrize(
         "n, m", [(n, m) for n in (1, 2, 3) for m in range(1, 16 // n + 1)]
@@ -259,7 +269,8 @@ class TestCubeCounterexample:
         shapes = [Shape(e) for e in iproduct(range(m + 1), repeat=n)]
         fld = maximal_field(mask, shapes)
         rep = cube_counterexample(n, m)
-        assert rep.superlevel == superlevel_measure(fld, DyadicRational.pow2(-m))
+        lvl = superlevel_mask(fld, DyadicRational.pow2(-m))
+        assert rep.superlevel == BitMask(grid, lvl).measure()
         assert rep.measure_E == mask.measure()
         assert rep.index_count == rep.shapes_used == len(shapes)
 
@@ -321,16 +332,43 @@ class TestStepOneOracle:
 
 
 class TestStepOneClosedForms:
-    """Conjectured closed forms of the theorem ratio on A = u = 0..m-1:
-    fitted on computed values and checked here through the symbolic
-    step-1 oracle, not proved.  The huge budget admits grids that are
-    never allocated."""
+    """Closed forms of the theorem ratio on A = u = 0..m-1, checked
+    through the symbolic step-1 oracle.  The huge budget admits grids
+    that are never allocated.
+
+    n = 2, proved.  X is the crystal over the consecutive scales
+    0..m-1 and Z the one over -(m-1)..0, so |X| = 1, |Z| = 2^-(m-1),
+    and E = X x Z is the one grid cell [0, 1] x [0, 2^-(m-1)], of volume
+    |E| = 2^-(m-1).  The generators that fit the grid are the m shapes
+    (a, -a), a = 0..m-1, each of unit volume.  An aligned placement of
+    one of them that contains a cell of E holds all of E, so its average
+    is 2^-(m-1) when the placement is anchored at the origin and 0
+    otherwise.  Hence S, at 2^-(m-1) and at 2^-m alike, is the anchored
+    union of the boxes [0, 2^a] x [0, 2^-a].  That union is a staircase:
+    box 0 has area 1, and box a >= 1 adds [2^(a-1), 2^a] x [0, 2^-a],
+    of area (2^a - 2^(a-1)) 2^-a = 1/2.  So
+    S = 1 + sum_(a=1..m-1) (2^a - 2^(a-1)) 2^-a = (m+1)/2, and the
+    ratio is S / (m 2^m |E|) = ((m+1)/2) / (2m) = (m+1)/(4m).
+
+    n = 3 is still a conjecture: fitted on computed values, not proved.
+    """
 
     @staticmethod
     def ratio(n, m):
         inst, union = step_one_union(n, range(m), m, budget=1 << 4096)
         scale = Fraction(m ** (n - 1) * 2**m) * inst.measure_E().as_fraction()
         return union.as_fraction() / scale
+
+    def test_n2_derivation(self):
+        for m in range(2, 101):
+            inst, union = step_one_union(2, range(m), m, budget=1 << 4096)
+            assert inst.measure_E() == DyadicRational.pow2(-(m - 1))
+            generators = [Shape((a, -a)) for a in range(m)]
+            assert union == anchored_union_measure(generators).union
+            staircase = 1 + sum(
+                Fraction(2**a - 2 ** (a - 1), 2**a) for a in range(1, m)
+            )
+            assert union.as_fraction() == staircase == Fraction(m + 1, 2), m
 
     def test_n2(self):
         for m in range(2, 101):
