@@ -12,7 +12,6 @@ from .crystal import (
     CrystalND,
     ScaleSet,
     Shape,
-    build_crystal,
     crystal_measure,
     primitive_rectangle,
     product_crystal,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -25,22 +24,18 @@ EXIT_NO_PROGRESSION = 3
 EXIT_BUDGET = 4
 EXIT_CHECK_FAILED = 5
 
-BUDGET_ENV = "DYADICMAX_CELL_BUDGET"
-
 CELL_CHUNK = 1 << 16  # mask cells per chunk of the `crystal` cell list
 
 
 def _cell_budget(text: str) -> int:
-    """Parse a cell budget from --budget or from BUDGET_ENV; argparse runs
-    this on the flag's value and on the string default alike."""
+    """Parse the value of --budget."""
     try:
         budget = int(text)
     except ValueError:
         budget = 0
     if budget <= 0:
         raise argparse.ArgumentTypeError(
-            f"cell budget must be a positive integer, got {text!r} "
-            f"(from --budget or {BUDGET_ENV})"
+            f"cell budget must be a positive integer, got {text!r}"
         )
     return budget
 
@@ -107,7 +102,7 @@ def cmd_crystal(args) -> int:
     grid = GridSpec((A.min,), (A.max,))
     values = rasterize(c, grid).values
     mu = crystal_measure(c)
-    print(f"scales: {','.join(map(str, A))}")
+    print(f"scales: {','.join(map(str, A.scales))}")
     print(f"resolution: 2^{A.min}  extent: [0, 2^{A.max}]")
     sys.stdout.write(f"cells ({int(np.count_nonzero(values))} of {grid.ncells}): ")
     _write_cell_list(values)
@@ -135,27 +130,30 @@ def cmd_verify(args) -> int:
 
 def _run_per_m(ms, run, csv_path, series_path=None, verdict=False) -> int:
     """Run `run(m)` for each m, printing one line per report, then write
-    the CSV and series of the reports made.  An m without a progression
-    is reported on stderr and skipped; the worst exit code wins."""
+    the CSV and series of the reports made, also when a later m raises.
+    An m without a progression is reported on stderr and skipped; the
+    worst exit code wins."""
     _check_writable(csv_path, series_path)
     reports, worst = [], EXIT_OK
-    for m in ms:
-        try:
-            rep = run(m)
-        except NoProgressionError as exc:
-            print(f"m={m}: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_NO_PROGRESSION)
-            continue
-        reports.append(rep)
-        tail = f" passed={rep.passed}" if verdict else ""
-        print(f"m={m} S={rep.superlevel} ratio={fraction_decimal(rep.ratio)}{tail}")
-        if not rep.passed:
-            worst = max(worst, EXIT_CHECK_FAILED)
-    if csv_path:
-        _write_reports_csv(csv_path, reports)
-    if series_path:
-        with open(series_path, "w") as fh:
-            fh.writelines(f"{r.m} {fraction_decimal(r.ratio)}\n" for r in reports)
+    try:
+        for m in ms:
+            try:
+                rep = run(m)
+            except NoProgressionError as exc:
+                print(f"m={m}: {exc}", file=sys.stderr)
+                worst = max(worst, EXIT_NO_PROGRESSION)
+                continue
+            reports.append(rep)
+            tail = f" passed={rep.passed}" if verdict else ""
+            print(f"m={m} S={rep.superlevel} ratio={fraction_decimal(rep.ratio)}{tail}")
+            if not rep.passed:
+                worst = max(worst, EXIT_CHECK_FAILED)
+    finally:
+        if csv_path:
+            _write_reports_csv(csv_path, reports)
+        if series_path:
+            with open(series_path, "w") as fh:
+                fh.writelines(f"{r.m} {fraction_decimal(r.ratio)}\n" for r in reports)
     return worst
 
 
@@ -188,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_crystal)
 
     def common(sp):
-        sp.add_argument("--budget", type=_cell_budget,
-                        default=os.environ.get(BUDGET_ENV) or str(DEFAULT_CELL_BUDGET),
+        sp.add_argument("--budget", type=_cell_budget, default=DEFAULT_CELL_BUDGET,
                         help="cell budget for rasterization grids")
         sp.add_argument("--csv", help="write a CSV report here")
 

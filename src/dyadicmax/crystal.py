@@ -38,9 +38,6 @@ class ScaleSet:
     def __len__(self) -> int:
         return len(self.scales)
 
-    def __iter__(self):
-        return iter(self.scales)
-
     @property
     def min(self) -> int:
         return self.scales[0]
@@ -79,11 +76,6 @@ class Crystal1D:
         return cells
 
 
-def build_crystal(A: ScaleSet) -> Crystal1D:
-    """The crystal over A, kept symbolic: nothing is materialized."""
-    return Crystal1D(A)
-
-
 @dataclass(frozen=True)
 class Shape:
     """A dyadic rectangle up to translation: per-axis side exponents."""
@@ -95,9 +87,6 @@ class Shape:
 
     def __len__(self) -> int:
         return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
 
     @property
     def volume_exponent(self) -> int:
@@ -125,7 +114,7 @@ class CrystalND:
 
 def product_crystal(*scale_sets: ScaleSet) -> CrystalND:
     """The product of the crystals over the scale sets, one per axis."""
-    return CrystalND(tuple(build_crystal(A) for A in scale_sets))
+    return CrystalND(tuple(Crystal1D(A) for A in scale_sets))
 
 
 def crystal_measure(Y: CrystalND) -> DyadicRational:

@@ -84,9 +84,6 @@ class TheoremInstance:
 
     n: int
     progression: range
-    h: tuple[int, ...]
-    X: ScaleSet
-    Z: ScaleSet
     E: CrystalND
     indices: tuple[tuple[int, ...], ...]
     Y: dict
@@ -142,7 +139,7 @@ def build_instance(
         if crystal_measure(Yi) != measure_E.scale2(m - 1):
             raise ConstructionError(f"|Y| != 2^(m-1)|E| at index {i}")
         Y[i], R[i] = Yi, Ri
-    return TheoremInstance(n, u, h, X, Z, E, indices, Y, R, grid)
+    return TheoremInstance(n, u, E, indices, Y, R, grid)
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,6 @@ def check_homogeneity(
 
 @dataclass(frozen=True)
 class DisjointnessResult:
-    deltas: tuple[Fraction, ...]
     min_delta: Fraction
     union_Y: DyadicRational
     sum_Y: DyadicRational
@@ -196,7 +192,7 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     ratio of the union of the Y(i)."""
     shapes = [instance.R[i] for i in instance.indices]
     au = anchored_union_measure(shapes)
-    deltas = tuple(
+    min_delta = min(
         diff.as_fraction() / s.volume().as_fraction()
         for diff, s in zip(au.differences, shapes)
     )
@@ -206,9 +202,7 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
         DyadicRational(0, 0),
     )
     rho = union_Y.as_fraction() / sum_Y.as_fraction()
-    return DisjointnessResult(
-        deltas, min(deltas), union_Y, sum_Y, rho, min(deltas) > 0
-    )
+    return DisjointnessResult(min_delta, union_Y, sum_Y, rho, min_delta > 0)
 
 
 def union_Y_mask(instance: TheoremInstance) -> np.ndarray:

@@ -19,9 +19,9 @@ import pytest
 from bruteforce import contained_anchored_rectangles, naive_average, naive_box_sum
 from dyadicmax.cli import main as cli_main
 from dyadicmax.crystal import (
+    Crystal1D,
     ScaleSet,
     Shape,
-    build_crystal,
     primitive_rectangle,
     product_crystal,
 )
@@ -73,7 +73,7 @@ def test_criterion_1_crystal_measure_law():
         for _ in range(200):
             m = rng.randint(1, 6)
             A = ScaleSet(tuple(sorted(rng.sample(range(-6, 7), m))))
-            axis = build_crystal(A).cells(A.min, 1 << (A.max - A.min))
+            axis = Crystal1D(A).cells(A.min, 1 << (A.max - A.min))
             assert DyadicRational(int(axis.sum()), A.min) == (
                 DyadicRational.pow2(A.max - (m - 1))
             )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 import dyadicmax
 from dyadicmax.cli import (
-    BUDGET_ENV,
     CELL_CHUNK,
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -180,8 +180,8 @@ class TestVerifyCommand:
         # the progression search must not try every step up to the span nor
         # every pair of members, and the budget check must not build the
         # cell count of a 2^(2*10^9)-cell grid
-        env = {k: v for k, v in os.environ.items() if k != BUDGET_ENV}
-        env["PYTHONPATH"] = str(Path(dyadicmax.__file__).resolve().parents[1])
+        src = Path(dyadicmax.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
             [sys.executable, "-m", "dyadicmax.cli", "verify", "--n", "2", *argv],
             capture_output=True, text=True, timeout=30, env=env,
@@ -204,18 +204,11 @@ class TestVerifyCommand:
         assert ei.value.code == EXIT_USAGE
         assert "cell budget must be a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget", ["0", "abc"])
-    def test_bad_budget_env_is_usage_error(self, budget, monkeypatch, capsys):
-        monkeypatch.setenv(BUDGET_ENV, budget)
-        with pytest.raises(SystemExit) as ei:
-            main(["verify", "--n", "2", "--set", "0,1,2", "--m", "3"])
-        assert ei.value.code == EXIT_USAGE
-        assert BUDGET_ENV in capsys.readouterr().err
-
-    def test_budget_env_is_applied(self, monkeypatch):
-        monkeypatch.setenv(BUDGET_ENV, "16")
+    def test_budget_env_is_ignored(self, monkeypatch):
+        # --budget is the only override; the environment sets no budget
+        monkeypatch.setenv("DYADICMAX_CELL_BUDGET", "16")
         rc = main(["verify", "--n", "2", "--set", "0..9", "--m", "10"])
-        assert rc == EXIT_BUDGET
+        assert rc == EXIT_OK
 
     @pytest.mark.parametrize(
         "argv",
@@ -230,10 +223,7 @@ class TestVerifyCommand:
             ["verify", "--n", "2", "--set", "0,8000", "--m", "2"],
         ],
     )
-    def test_default_budget_refuses_before_building_cells(
-        self, argv, monkeypatch, capsys
-    ):
-        monkeypatch.delenv(BUDGET_ENV, raising=False)
+    def test_default_budget_refuses_before_building_cells(self, argv, capsys):
         assert main(argv) == EXIT_BUDGET
         assert f"budget is {DEFAULT_CELL_BUDGET}" in capsys.readouterr().err
 
@@ -416,6 +406,36 @@ def test_cli_payloads_match_the_goldens(name, argv, tmp_path, capsys):
     assert [{k: r[k] for k in rows[0]} for r in got] == rows
     if sweep:
         assert series_path.read_text().splitlines() == series
+
+
+@pytest.mark.parametrize(
+    "name, argv, done",
+    [
+        ("sweep_n2.json", ["sweep", "--n", "2", "--m", "2..6", "--budget", "256"],
+         range(2, 6)),
+        ("cube_n2.json", ["cube", "--n", "2", "--m", "3..6", "--budget", "1000"],
+         range(3, 5)),
+    ],
+)
+def test_budget_stop_keeps_the_finished_rows(name, argv, done, tmp_path, capsys):
+    # the first m past the budget exits 4; the CSV and the series still
+    # hold the golden rows of every m finished before it
+    sweep = argv[0] == "sweep"
+    rows, series, stdout = golden_payloads(name, verdict=sweep)
+    keep = [int(r["m"]) in done for r in rows]
+    csv_path, series_path = tmp_path / "out.csv", tmp_path / "series.txt"
+    argv = argv + ["--csv", str(csv_path)]
+    if sweep:
+        argv += ["--series", str(series_path)]
+    assert main(argv) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out.splitlines() == list(compress(stdout, keep))
+    assert err.startswith("error: ") and "budget" in err
+    with open(csv_path, newline="") as fh:
+        got = list(csv.DictReader(fh))
+    assert [{k: r[k] for k in rows[0]} for r in got] == list(compress(rows, keep))
+    if sweep:
+        assert series_path.read_text().splitlines() == list(compress(series, keep))
 
 
 class TestCubeCommand:

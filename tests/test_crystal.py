@@ -8,7 +8,6 @@ from dyadicmax.crystal import (
     Crystal1D,
     ScaleSet,
     Shape,
-    build_crystal,
     crystal_measure,
     primitive_rectangle,
     product_crystal,
@@ -24,7 +23,7 @@ scale_sets = st.lists(
 
 def crystal_axis(A: ScaleSet) -> np.ndarray:
     """The crystal over A at resolution min(A) on [0, 2^max(A)]."""
-    return build_crystal(A).cells(A.min, 1 << (A.max - A.min))
+    return Crystal1D(A).cells(A.min, 1 << (A.max - A.min))
 
 
 class TestScaleSet:
@@ -43,8 +42,8 @@ class TestSuffix:
         i = data.draw(st.integers(1, len(A)))
         # both crystals end at 2^max(A); compare them on A's finer grid
         n = 1 << (A.max - A.min)
-        big = build_crystal(A).cells(A.min, n)
-        small = build_crystal(ScaleSet(A.scales[i - 1 :])).cells(A.min, n)
+        big = Crystal1D(A).cells(A.min, n)
+        small = Crystal1D(ScaleSet(A.scales[i - 1 :])).cells(A.min, n)
         assert not (big & ~small).any()
 
 
@@ -52,23 +51,23 @@ class TestBuildCrystal:
     def test_example_012(self):
         A = ScaleSet((0, 1, 2))
         assert np.flatnonzero(crystal_axis(A)).tolist() == [0]
-        assert build_crystal(A).measure() == DyadicRational(1, 0)
+        assert Crystal1D(A).measure() == DyadicRational(1, 0)
 
     def test_example_023(self):
         A = ScaleSet((0, 2, 3))
         assert np.flatnonzero(crystal_axis(A)).tolist() == [0, 2]
-        assert build_crystal(A).measure() == DyadicRational(2, 0)
+        assert Crystal1D(A).measure() == DyadicRational(2, 0)
 
     def test_single_scale(self):
         A = ScaleSet((5,))
-        assert build_crystal(A).measure() == DyadicRational(1, 5)
+        assert Crystal1D(A).measure() == DyadicRational(1, 5)
         assert crystal_axis(A).all()
 
     @given(scale_sets)
     @settings(max_examples=200)
     def test_measure_law(self, A):
         law = DyadicRational.pow2(A.max - (len(A) - 1))
-        assert build_crystal(A).measure() == law
+        assert Crystal1D(A).measure() == law
         assert DyadicRational(int(crystal_axis(A).sum()), A.min) == law
 
     @given(scale_sets)
@@ -78,8 +77,8 @@ class TestBuildCrystal:
             part = ScaleSet(A.scales[-(i + 1):])
             whole = ScaleSet(A.scales[-i:])
             n = 1 << (A.max - A.min)
-            kept = build_crystal(part).cells(A.min, n).sum()
-            assert 2 * kept == build_crystal(whole).cells(A.min, n).sum()
+            kept = Crystal1D(part).cells(A.min, n).sum()
+            assert 2 * kept == Crystal1D(whole).cells(A.min, n).sum()
 
     def test_broken_halving_law_raises(self, monkeypatch):
         # a kernel that keeps one extra cell breaks the halving law
@@ -105,7 +104,7 @@ class TestBuildCrystal:
     def test_cells_match_naive_oracle(self, A, finer, wider):
         # any resolution r <= min(A) and extent L >= max(A)
         r, L = A.min - finer, A.max + wider
-        axis = build_crystal(A).cells(r, 1 << (L - r))
+        axis = Crystal1D(A).cells(r, 1 << (L - r))
         assert axis.tolist() == naive_crystal_cells(A.scales, r, L)
 
 

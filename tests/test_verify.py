@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -38,8 +39,8 @@ from dyadicmax.family import find_progression, generate_shapes
 class TestBuildInstance:
     def test_n3_u012(self):
         inst = build_instance(3, range(3))
-        assert inst.h == (0, 1, 2)
-        assert inst.Z == ScaleSet((-2, -1, 0))
+        # Z is the negated h = (0, 1, 2), in increasing order
+        assert inst.E.factors[-1].scales == ScaleSet((-2, -1, 0))
         assert len(inst.indices) == 6
         assert all(sum(i) <= 2 for i in inst.indices)
 
@@ -285,9 +286,71 @@ class TestCubeCounterexample:
 
 
 class TestCubeClosedForms:
-    """Conjectured closed forms of the cube ratio: fitted on computed
-    values and checked here, not proved.  n=2 m=14 is a 2^28-cell grid,
-    on which one int64 array of the dense evaluator takes 2 GiB."""
+    """Closed forms of the cube ratio, proved for every n.
+
+    Take the 1D field of [0, 1] over the shapes 0..m on the 2^m unit
+    cells of [0, 2^m].  An aligned placement of side 2^a averages 2^-a
+    over [0, 1] when it is anchored at the origin and 0 otherwise, and
+    the anchored one reaches cell c iff c < 2^a.  So the field is 1 on
+    cell 0 and 2^-a on the w(a) = 2^(a-1) cells of [2^(a-1), 2^a),
+    a = 1..m; let w(0) = 1.  The field of Q = [0, 1]^n is the product of
+    n such fields, so its superlevel set at 2^-m is the set of cells
+    whose classes have a_1 + ... + a_n <= m, of measure
+
+      T_n(m) = sum over a_1 + ... + a_n <= m of w(a_1) ... w(a_n),
+
+    and |Q| = 1, so ratio = T_n(m) / (m^(n-1) 2^m).  With
+    W(x) = sum_a w(a) x^a = (1-x)/(1-2x), T_n(m) is the coefficient of
+    x^m in W(x)^n / (1-x) = (1-x)^(n-1) / (1-2x)^n:
+
+      T_n(m) = sum_(j=0..min(n-1, m)) (-1)^j C(n-1, j) C(m-j+n-1, n-1) 2^(m-j).
+
+    Hence T_1 = 2^m, T_2 = 2^(m-1) (m+2) and T_3 = 2^(m-3) (m^2+7m+8),
+    so the ratio is 1, (m+2)/(2m) and (m^2+7m+8)/(8m^2).  The cube
+    materializes one 2^m-cell axis, so m = 14 takes milliseconds."""
+
+    @staticmethod
+    def w(a):
+        return 1 if a == 0 else 2 ** (a - 1)
+
+    @classmethod
+    def T(cls, n, m):
+        return sum(
+            math.prod(map(cls.w, a))
+            for a in iproduct(range(m + 1), repeat=n)
+            if sum(a) <= m
+        )
+
+    @staticmethod
+    def T_coefficient(n, m):
+        return sum(
+            (-1) ** j * math.comb(n - 1, j) * math.comb(m - j + n - 1, n - 1)
+            * 2 ** (m - j)
+            for j in range(min(n, m + 1))
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_value_classes(self, m):
+        mask = rasterize(product_crystal(ScaleSet((0,))), GridSpec((0,), (m,)))
+        fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])
+        values = [Fraction(int(v), 2**fld.denom_exp) for v in fld.num]
+        # class a >= 1 is the cells c with c.bit_length() == a
+        assert values == [Fraction(1, 2 ** c.bit_length()) for c in range(2**m)]
+        assert Counter(values) == {Fraction(1, 2**a): self.w(a) for a in range(m + 1)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_superlevel_is_T(self, n):
+        for m in range(1, 7):
+            rep = cube_counterexample(n, m)
+            assert rep.measure_E == DyadicRational(1, 0)
+            assert rep.superlevel.as_fraction() == self.T(n, m)
+            assert self.T_coefficient(n, m) == self.T(n, m), (n, m)
+
+    def test_T1_T2_T3(self):
+        for m in range(1, 101):
+            assert self.T_coefficient(1, m) == 2**m
+            assert 2 * self.T_coefficient(2, m) == 2**m * (m + 2)
+            assert 8 * self.T_coefficient(3, m) == 2**m * (m * m + 7 * m + 8)
 
     @pytest.mark.parametrize("m", range(9, 15))
     def test_n2(self, m):
@@ -332,25 +395,40 @@ class TestStepOneOracle:
 
 
 class TestStepOneClosedForms:
-    """Closed forms of the theorem ratio on A = u = 0..m-1, checked
-    through the symbolic step-1 oracle.  The huge budget admits grids
-    that are never allocated.
+    """Closed forms of the theorem ratio on A = u = 0..m-1, proved for
+    every n >= 2 and checked through the symbolic step-1 oracle.  The
+    huge budget admits grids that are never allocated.
 
-    n = 2, proved.  X is the crystal over the consecutive scales
-    0..m-1 and Z the one over -(m-1)..0, so |X| = 1, |Z| = 2^-(m-1),
-    and E = X x Z is the one grid cell [0, 1] x [0, 2^-(m-1)], of volume
-    |E| = 2^-(m-1).  The generators that fit the grid are the m shapes
-    (a, -a), a = 0..m-1, each of unit volume.  An aligned placement of
-    one of them that contains a cell of E holds all of E, so its average
-    is 2^-(m-1) when the placement is anchored at the origin and 0
+    X is the crystal over the consecutive scales 0..m-1 and Z the one
+    over -(m-1)..0, so |X| = 1, |Z| = 2^-(m-1), and E = X^(n-1) x Z is
+    the one grid cell [0, 1]^(n-1) x [0, 2^-(m-1)], of volume
+    |E| = 2^-(m-1).  The generators that fit the grid are the shapes
+    (a_1, ..., a_(n-1), -sum(a)) with every a_k in 0..m-1 and
+    sum(a) <= m-1, each of unit volume.  An aligned placement of one of
+    them that contains a cell of E holds all of E, so its average is
+    2^-(m-1) when the placement is anchored at the origin and 0
     otherwise.  Hence S, at 2^-(m-1) and at 2^-m alike, is the anchored
-    union of the boxes [0, 2^a] x [0, 2^-a].  That union is a staircase:
-    box 0 has area 1, and box a >= 1 adds [2^(a-1), 2^a] x [0, 2^-a],
-    of area (2^a - 2^(a-1)) 2^-a = 1/2.  So
-    S = 1 + sum_(a=1..m-1) (2^a - 2^(a-1)) 2^-a = (m+1)/2, and the
-    ratio is S / (m 2^m |E|) = ((m+1)/2) / (2m) = (m+1)/(4m).
+    union of the boxes [0, 2^a_1] x ... x [0, 2^a_(n-1)] x [0, 2^-sum(a)].
 
-    n = 3 is still a conjecture: fitted on computed values, not proved.
+    Cut each of the first n-1 axes at 1, 2, 4, ...: compressed cell 0 is
+    [0, 1], of width w(0) = 1, and cell i >= 1 is [2^(i-1), 2^i], of
+    width w(i) = 2^(i-1).  Over the compressed cell (i_1, ..., i_(n-1))
+    the boxes that reach it are those with every a_k >= i_k, and the
+    tallest of them is a = i.  So the union has height 2^-sum(i) there
+    when sum(i) <= m-1 and is absent otherwise:
+
+      S = sum over sum(i) <= m-1 of prod_k w(i_k) 2^-i_k.
+
+    Each factor w(i) 2^-i is 1 for i = 0 and 1/2 for i >= 1.  Count the
+    cells by j, the number of nonzero i_k: there are C(n-1, j) ways to
+    place them and C(m-1, j) ways to give them positive values with sum
+    at most m-1.  So
+
+      S = sum_(j=0..n-1) C(n-1, j) C(m-1, j) 2^-j,
+
+    and ratio = S / (m^(n-1) 2^m |E|) = S / (2 m^(n-1)).  For n = 2 this
+    is (m+1)/(4m), the union being the staircase (m+1)/2; for n = 3 it
+    is (m^2+5m+2)/(16m^2).
     """
 
     @staticmethod
@@ -358,6 +436,28 @@ class TestStepOneClosedForms:
         inst, union = step_one_union(n, range(m), m, budget=1 << 4096)
         scale = Fraction(m ** (n - 1) * 2**m) * inst.measure_E().as_fraction()
         return union.as_fraction() / scale
+
+    @staticmethod
+    def closed_form(n, m):
+        S = sum(
+            Fraction(math.comb(n - 1, j) * math.comb(m - 1, j), 2**j)
+            for j in range(n)
+        )
+        return S / (2 * m ** (n - 1))
+
+    @pytest.mark.parametrize("n, m_top", [(2, 60), (3, 40), (4, 20), (5, 12)])
+    def test_derivation(self, n, m_top):
+        for m in range(2, m_top + 1):
+            inst, union = step_one_union(n, range(m), m, budget=1 << 4096)
+            assert inst.measure_E() == DyadicRational.pow2(-(m - 1))
+            w = [1] + [2 ** (i - 1) for i in range(1, m)]
+            stairs = sum(
+                math.prod(Fraction(w[ik], 2**ik) for ik in i)
+                for i in iproduct(range(m), repeat=n - 1)
+                if sum(i) <= m - 1
+            )
+            assert union.as_fraction() == stairs
+            assert union.as_fraction() / 2 / m ** (n - 1) == self.closed_form(n, m)
 
     def test_n2_derivation(self):
         for m in range(2, 101):
