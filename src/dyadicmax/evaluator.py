@@ -6,9 +6,8 @@ maximum over shapes and cell-aligned in-box placements (`maximal_field`
 says why overhanging ones can be skipped), taken one axis at a time by
 doubling passes over the dyadic windows.  Every value is an integer
 numerator over a power-of-two denominator, so all comparisons and
-measures are exact.  The kernel works in the smallest unsigned integer
-type that holds the common numerator 2^D (uint8 up to D = 7, uint16 up
-to D = 15) and widens the finished field to int64 once.
+measures are exact.  The kernel works in, and returns its field in, the
+smallest unsigned integer type that holds the common numerator 2^D.
 
 A field that is an outer product of lower-dimensional fields, such as
 the unit cube's family field (the n-fold product of one 1D field), is
@@ -23,6 +22,7 @@ is a certified lower bound for the true maximal operator.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -100,10 +100,11 @@ class BitMask:
 
 @dataclass(frozen=True)
 class AverageField:
-    """Per-cell exact values num * 2^(-denom_exp) on the grid."""
+    """Per-cell exact averages num * 2^(-denom_exp) on the grid, so
+    0 <= num <= 2^denom_exp, stored in min_scalar_type(2^denom_exp)."""
 
     grid: GridSpec
-    num: np.ndarray  # int64
+    num: np.ndarray  # unsigned: uint8 up to denom_exp 7, uint16 up to 15
     denom_exp: int
 
 
@@ -176,8 +177,8 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     kernel holds is at most 2^D: a window count is at most the window's
     2^(D_s) cells, and shifting it by D - D_s to the common denominator
     keeps it at most 2^D because an average is at most 1.  So the kernel
-    runs in dt = min_scalar_type(2^D), and only the returned numerators
-    are int64.  The prefix table is reduced to dt once and may wrap, but
+    runs in dt = min_scalar_type(2^D) and returns its dt array as the
+    field.  The prefix table is reduced to dt once and may wrap, but
     the window counts stay exact: inclusion-exclusion is an integer
     identity, so it holds modulo 2^bits(dt), and the true count lies in
     [0, 2^D], inside [0, 2^bits(dt))."""
@@ -187,8 +188,6 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     grid = mask.grid
     windows = [_shape_window(grid, s) for s in shapes]
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
-    if D > 62:
-        raise ParameterError(f"common denominator exponent {D} overflows int64")
     dt = np.min_scalar_type(1 << D)
     P = prefix_sums(mask).astype(dt)
     out = np.zeros(grid.shape, dtype=dt)
@@ -207,7 +206,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
                 S, k = U, 2 * k
         S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
         np.maximum(out, S, out=out)
-    return AverageField(grid, out.astype(np.int64), D)
+    return AverageField(grid, out, D)
 
 
 def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
@@ -217,7 +216,7 @@ def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
 
 def superlevel_mask(fieldobj: AverageField, threshold: DyadicRational) -> np.ndarray:
     c = _count_threshold(fieldobj.denom_exp, threshold)
-    if c > np.iinfo(np.int64).max:
+    if c > 1 << fieldobj.denom_exp:  # above every average
         return np.zeros_like(fieldobj.num, dtype=bool)
     return fieldobj.num >= c
 
@@ -228,18 +227,20 @@ def product_superlevel_measure(fields, threshold: DyadicRational) -> DyadicRatio
     the product of the fields' grids.
 
     Each field is compressed to its distinct values and their cell
-    multiplicities; the count adds the multiplicity products of the value
-    tuples whose product reaches the threshold, over prod_j (classes of
-    f_j) tuples instead of prod_j (cells of f_j) cells, in Python ints."""
+    multiplicities, then folded in one at a time into a table from each
+    product of values to its cells, in Python ints; a cube's values are
+    powers of two, so its table keeps at most n m + 1 products."""
     fields = list(fields)
-    values, counts = [], []
+    table = Counter({1: 1})
     for f in fields:
         vals, mult = np.unique(f.num, return_counts=True)
-        values.append(vals.astype(object))
-        counts.append(mult.astype(object))
+        step = Counter()
+        for v, w in zip(vals.tolist(), mult.tolist()):
+            for p, k in table.items():
+                step[p * v] += k * w
+        table = step
     c = _count_threshold(sum(f.denom_exp for f in fields), threshold)
-    reached = reduce(np.multiply.outer, values) >= c
-    count = int(reduce(np.multiply.outer, counts)[reached].sum())
+    count = sum(k for p, k in table.items() if p >= c)
     return DyadicRational(count, sum(f.grid.cell_volume_exponent for f in fields))
 
 

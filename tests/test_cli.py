@@ -147,6 +147,20 @@ class TestVerifyCommand:
         assert "--out" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_set_needs_the_equals_form(self, tmp_path, capsys):
+        # argparse reads a value that starts with "-" as an option
+        out = tmp_path / "neg.json"
+        argv = ["verify", "--n", "2", "--m", "4", "--out", str(out)]
+        assert main(argv + ["--set=-3..0"]) == EXIT_OK
+        got = json.loads(out.read_text())
+        want = json.loads(verify_theorem(2, range(-3, 1), 4).to_json())
+        got.pop("runtime_ms"), want.pop("runtime_ms")
+        assert got == want
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--set", "-3..0"])
+        assert ei.value.code == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_no_progression_exit_code(self):
         rc = main(["verify", "--n", "2", "--set", "1,2,4,8", "--m", "3"])
         assert rc == EXIT_NO_PROGRESSION

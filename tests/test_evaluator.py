@@ -206,7 +206,8 @@ def assert_field_matches_naive(mask, rects):
     """The maximal field of the shapes with exponents `rects` against the
     brute-force oracle, which scans every overhanging anchor as well."""
     fld = maximal_field(mask, [Shape(r) for r in rects])
-    assert fld.num.dtype == np.int64
+    assert fld.num.dtype == np.min_scalar_type(1 << fld.denom_exp)
+    assert fld.num.max() <= 1 << fld.denom_exp
     den = Fraction(1, 1 << fld.denom_exp)
     windows = [
         tuple(1 << (e - r) for e, r in zip(rect, mask.grid.resolution))
@@ -260,7 +261,8 @@ class TestMaximalField:
         grid = GridSpec((0, 0), (a + 1, D - a))
         full = BitMask(grid, np.ones(grid.shape, bool))
         fld = maximal_field(full, [Shape((a, D - a))])
-        assert fld.num.dtype == np.int64 and fld.denom_exp == D
+        assert fld.num.dtype == np.min_scalar_type(1 << D) and fld.denom_exp == D
+        assert fld.num.max() <= 1 << D
         assert (fld.num == 1 << D).all()
 
     def test_wrapping_prefix_table(self):
@@ -291,6 +293,20 @@ class TestSuperlevel:
         fld = maximal_field(mask, [Shape((1, 1))])
         empty = BitMask(mask.grid, superlevel_mask(fld, DyadicRational(3, -1)))
         assert empty.measure() == DyadicRational(0, 0)
+
+    @pytest.mark.parametrize("rect, dtype", [((1, 2), np.uint8), ((3, 5), np.uint16)])
+    def test_thresholds_at_and_above_one(self, rect, dtype):
+        # threshold 1 selects the cells whose average is full (every set
+        # cell, by the one-cell shape); one unit above it and 2^70, far
+        # outside the field's dtype, select none
+        D = sum(rect)
+        mask, rects = _fixed_case((16, 32), [rect, (0, 0)])
+        fld = maximal_field(mask, [Shape(r) for r in rects])
+        assert fld.num.dtype == dtype and fld.denom_exp == D
+        at_one = superlevel_mask(fld, DyadicRational(1, 0))
+        assert at_one.any() and np.array_equal(at_one, fld.num == 1 << D)
+        for thr in (DyadicRational((1 << D) + 1, -D), DyadicRational(1 << 70, 0)):
+            assert not superlevel_mask(fld, thr).any()
 
     def test_frozen_square_example(self):
         # E = [0,1]^2 in [0,4]^2, shapes (2,0) and (0,2), threshold 1/4

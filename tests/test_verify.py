@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -275,6 +276,17 @@ class TestCubeCounterexample:
         assert rep.measure_E == mask.measure()
         assert rep.index_count == rep.shapes_used == len(shapes)
 
+    def test_class_count_builds_no_tuple_grid(self):
+        # n = 20, m = 1 has 2^20 value tuples; the class count keeps one
+        # entry per product of values, 21 of them
+        tracemalloc.start()
+        try:
+            cube_counterexample(20, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_runtime_includes_rasterization(self, monkeypatch):
         # the clock starts on entry, so building the mask counts too
         def slow_rasterize(E, grid):
@@ -361,6 +373,12 @@ class TestCubeClosedForms:
         assert cube_counterexample(3, m).ratio == Fraction(
             m * m + 7 * m + 8, 8 * m * m
         )
+
+    def test_n29_m1(self):
+        # the default budget admits the 2^29-cell grid; T_n(1) = n + 1
+        rep = cube_counterexample(29, 1)
+        assert rep.superlevel.as_fraction() == self.T_coefficient(29, 1) == 30
+        assert rep.ratio == 15
 
 
 def step_one_union(n, A, m, budget=DEFAULT_CELL_BUDGET):
