@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -69,10 +70,16 @@ def _parse_int_set(text: str) -> frozenset[int]:
 
 def _check_writable(*paths) -> None:
     """Open every given output path for append before the run, so an
-    unwritable one fails at once; append truncates no existing file."""
+    unwritable one fails at once; append truncates no existing file.
+    Two paths to one file (same device and inode) are a usage error."""
+    seen = set()
     for path in paths:
         if path:
-            open(path, "a").close()
+            with open(path, "a") as fh:
+                st = os.fstat(fh.fileno())
+            if (st.st_dev, st.st_ino) in seen:
+                raise ParameterError(f"two outputs name the same file: {path}")
+            seen.add((st.st_dev, st.st_ino))
 
 
 def _write_reports_csv(path: str, reports) -> None:

@@ -39,8 +39,6 @@ class DyadicRational:
 
     def scale2(self, k: int) -> "DyadicRational":
         """Multiply by 2^k (exact)."""
-        if self.mantissa == 0:
-            return self
         return DyadicRational(self.mantissa, self.exponent + k)
 
     def _aligned(self, other: "DyadicRational") -> tuple[int, int]:

@@ -35,6 +35,17 @@ from .errors import BudgetExceededError, ConstructionError, ParameterError
 DEFAULT_CELL_BUDGET = 1 << 30
 
 
+def check_budget(cells_exponent: int, budget: int) -> None:
+    """Refuse 2^cells_exponent cells over the budget; callers pass the
+    exponent before they build anything of the grid's size."""
+    if not isinstance(budget, int) or budget <= 0:
+        raise ParameterError(f"cell budget must be a positive integer, got {budget!r}")
+    # 2^k > budget exactly when k reaches the budget's bit length; the
+    # cell count 2^k itself may be too long to build or print
+    if cells_exponent >= budget.bit_length():
+        raise BudgetExceededError(cells_exponent, budget)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Per-axis resolution and extent exponents of a rasterization grid."""
@@ -50,14 +61,7 @@ class GridSpec:
             raise ParameterError("resolution/extent dimension mismatch")
         if any(r > L for r, L in zip(self.resolution, self.extent)):
             raise ParameterError("resolution coarser than extent")
-        if not isinstance(self.budget, int) or self.budget <= 0:
-            raise ParameterError(
-                f"cell budget must be a positive integer, got {self.budget!r}"
-            )
-        # 2^k > budget exactly when k reaches the budget's bit length; the
-        # cell count 2^k itself may be too long to build or print
-        if self.cells_exponent >= self.budget.bit_length():
-            raise BudgetExceededError(self.cells_exponent, self.budget)
+        check_budget(self.cells_exponent, self.budget)
 
     @property
     def dimension(self) -> int:

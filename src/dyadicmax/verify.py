@@ -53,6 +53,7 @@ from .evaluator import (
     BitMask,
     GridSpec,
     anchored_union_measure,
+    check_budget,
     maximal_field,
     product_superlevel_measure,
     rasterize,
@@ -110,6 +111,7 @@ def build_instance(
     if m < 2:
         raise ParameterError("progression must have length at least 2")
     u0, d = u[0], u.step
+    check_budget(n * (m - 1) * d, budget)  # grid.cells_exponent, before any n-tuple
     h = tuple((n - 1) * u0 + d * s for s in range(m))
     X = ScaleSet(u)
     Z = ScaleSet(tuple(-hs for hs in reversed(h)))
@@ -375,7 +377,7 @@ def cube_counterexample(
     t0 = time.perf_counter()
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 and m >= 1")
-    GridSpec((0,) * n, (m,) * n, budget)  # the budget check alone
+    check_budget(n * m, budget)  # the n-D grid's 2^(nm) cells
     unit = product_crystal(ScaleSet((0,)))
     mask = rasterize(unit, GridSpec((0,), (m,), budget))
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])

@@ -235,6 +235,8 @@ class TestVerifyCommand:
             ["crystal", "--scales=0,20000"],
             ["cube", "--n", "2", "--m", "8000"],
             ["verify", "--n", "2", "--set", "0,8000", "--m", "2"],
+            # a dimension too large to build any n-tuple of
+            ["verify", "--n", "1000000000000", "--set", "0,1", "--m", "2"],
         ],
     )
     def test_default_budget_refuses_before_building_cells(self, argv, capsys):
@@ -269,6 +271,28 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["verify", "--n", "2", "--set", "0,1,2", "--m", "3"], "--out", "--csv"),
+        (["sweep", "--n", "2", "--m", "2..3"], "--csv", "--series"),
+    ],
+)
+def test_two_outputs_to_one_file_is_usage_error(
+    argv, first, second, tmp_path, monkeypatch, capsys
+):
+    # ./r.out and r.out are one file, which one output would overwrite
+    # with the other; that is refused before the run
+    def never(*args, **kwargs):
+        raise AssertionError("ran a certification before checking the output paths")
+
+    monkeypatch.setattr(dyadicmax.cli, "verify_theorem", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [first, "r.out", second, "./r.out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "same file: ./r.out" in err
 
 
 class TestSweepCommand:

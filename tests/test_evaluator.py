@@ -79,10 +79,10 @@ def brute_force_cases(draw):
 
 @st.composite
 def product_field_cases(draw):
-    """1D masks on n = 1..3 axes of at most 64 cells in all, at mixed
+    """1D masks on n = 1..3 axes of at most 4096 cells in all, at mixed
     resolutions, and one to three shape exponents per axis."""
     n = draw(st.integers(1, 3))
-    masks, exps, spare = [], [], 6
+    masks, exps, spare = [], [], 12
     for _ in range(n):
         k = draw(st.integers(0, spare))
         spare -= k
@@ -330,6 +330,12 @@ class TestProductSuperlevel:
         j=st.integers(0, 1 << 8),
         e=st.integers(0, 12),
     )
+    # three full 16-cell axes: each uint8 factor is 2^4, and their product
+    # 2^12 wraps to 0 unless the oracle multiplies in Python ints
+    @example(
+        case=([BitMask(GridSpec((0,), (4,)), np.ones(16, dtype=bool))] * 3, [[4]] * 3),
+        kind="one", j=0, e=0,
+    )
     @settings(max_examples=80, deadline=None)
     def test_against_the_outer_product(self, case, kind, j, e):
         masks, exps = case
@@ -337,7 +343,7 @@ class TestProductSuperlevel:
             maximal_field(mask, [Shape((a,)) for a in ex])
             for mask, ex in zip(masks, exps)
         ]
-        num = reduce(np.multiply.outer, [f.num for f in fields])
+        num = reduce(np.multiply.outer, [f.num.astype(object) for f in fields])
         D = sum(f.denom_exp for f in fields)
         thr = {
             "zero": DyadicRational(0, 0),

@@ -15,7 +15,12 @@ import pytest
 import dyadicmax
 from dyadicmax.crystal import ScaleSet, Shape, product_crystal
 from dyadicmax.dyadic import DyadicRational
-from dyadicmax.errors import ConstructionError, NoProgressionError, ParameterError
+from dyadicmax.errors import (
+    BudgetExceededError,
+    ConstructionError,
+    NoProgressionError,
+    ParameterError,
+)
 from dyadicmax.evaluator import (
     DEFAULT_CELL_BUDGET,
     BitMask,
@@ -83,6 +88,19 @@ class TestBuildInstance:
             build_instance(2, range(1))
         with pytest.raises(ParameterError):
             build_instance(2, range(2, 0, -1))
+
+    def test_budget_is_checked_on_the_grid_exponent_first(self, monkeypatch):
+        # the exponent build_instance refuses on, before it builds any
+        # n-tuple, is that of the grid it goes on to build
+        seen = []
+        monkeypatch.setattr(
+            dyadicmax.verify, "check_budget", lambda k, budget: seen.append(k)
+        )
+        cases = iproduct(range(2, 5), range(2, 7), range(1, 4), range(-5, 6))
+        for n, m, d, u0 in cases:
+            inst = build_instance(n, range(u0, u0 + m * d, d), budget=1 << 4096)
+            assert seen == [inst.grid.cells_exponent], (n, m, d, u0)
+            seen.clear()
 
 
 class TestHomogeneity:
@@ -260,6 +278,20 @@ class TestCubeCounterexample:
             cube_counterexample(2, 1, budget=budget)
         with pytest.raises(ParameterError, match="positive integer"):
             verify_theorem(2, {0, 1, 2}, 3, budget=budget)
+
+    @pytest.mark.parametrize("n", [10**6, 10**12])
+    def test_huge_dimension_is_refused_before_any_allocation(self, n):
+        # nothing n long is built before the budget refuses the 2^n grid
+        runs = (lambda: verify_theorem(n, {0, 1}, 2), lambda: cube_counterexample(n, 2))
+        for run in runs:
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceededError):
+                    run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "n, m", [(n, m) for n in (1, 2, 3) for m in range(1, 16 // n + 1)]
