@@ -9,6 +9,11 @@ numerator over a power-of-two denominator, so all comparisons and
 measures are exact.  The kernel works in, and returns its field in, the
 smallest unsigned integer type that holds the common numerator 2^D.
 
+A rasterized crystal is a product set, so the count of its cells in an
+anchored box is the product of its per-axis counts: its prefix table is
+the outer product of 1D prefix tables, one per axis.  It is built that
+way, in the kernel's type, with no cumulative sum over the grid.
+
 A field that is an outer product of lower-dimensional fields, such as
 the unit cube's family field (the n-fold product of one 1D field), is
 never built: `product_superlevel_measure` counts its superlevel set over
@@ -95,6 +100,8 @@ class GridSpec:
 class BitMask:
     grid: GridSpec
     values: np.ndarray  # bool, shape = grid.shape
+    # per-axis bool cells whose outer AND is values, set by rasterize only
+    axes: tuple[np.ndarray, ...] | None = None
 
     def measure(self) -> DyadicRational:
         return DyadicRational(
@@ -117,25 +124,40 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
     symbolic crystal measure exactly."""
     if E.dimension != grid.dimension:
         raise ParameterError("crystal/grid dimension mismatch")
-    axes = [
+    axes = tuple(
         c.cells(r, n) for c, r, n in zip(E.factors, grid.resolution, grid.shape)
-    ]
+    )
     values = reduce(lambda acc, a: acc[..., None] & a, axes[1:], axes[0])
-    mask = BitMask(grid, values)
+    for a in (values, *axes):  # so the factors cannot go stale
+        a.flags.writeable = False
+    mask = BitMask(grid, values, axes)
     if mask.measure() != crystal_measure(E):
         raise ConstructionError("rasterized measure differs from the crystal measure")
     return mask
 
 
-def prefix_sums(mask: BitMask) -> np.ndarray:
-    """Zero-padded prefix table: entry i holds the count of set cells in
-    the half-open box [0, i)."""
-    values = mask.values
-    P = np.zeros(tuple(n + 1 for n in values.shape), dtype=np.int64)
+def prefix_sums(mask: BitMask, dtype=np.int64) -> np.ndarray:
+    """Zero-padded prefix table in dtype: entry i holds the count of set
+    cells in the half-open box [0, i), modulo 2^bits for a dtype too
+    narrow to hold it.
+
+    The box [0, i) of a product set meets it in the product of its axis
+    parts, so a rasterized mask's table is the outer product of the 1D
+    tables of its axes; a product of residues mod 2^bits is the residue
+    of the product, so a narrow outer product wraps as the dense table
+    does."""
+    if mask.axes is None:
+        return _cumulative(mask.values, dtype)
+    return reduce(np.multiply.outer, [_cumulative(a, dtype) for a in mask.axes])
+
+
+def _cumulative(values: np.ndarray, dtype) -> np.ndarray:
+    """The zero-padded prefix table of a bool array, one pass per axis."""
+    P = np.zeros(tuple(n + 1 for n in values.shape), dtype=dtype)
     inner = P[(slice(1, None),) * values.ndim]
     inner[...] = values  # casting once is faster than a casting cumsum
     for ax in range(values.ndim):
-        np.cumsum(inner, axis=ax, out=inner)
+        np.cumsum(inner, axis=ax, dtype=dtype, out=inner)
     return P
 
 
@@ -182,10 +204,10 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     2^(D_s) cells, and shifting it by D - D_s to the common denominator
     keeps it at most 2^D because an average is at most 1.  So the kernel
     runs in dt = min_scalar_type(2^D) and returns its dt array as the
-    field.  The prefix table is reduced to dt once and may wrap, but
-    the window counts stay exact: inclusion-exclusion is an integer
-    identity, so it holds modulo 2^bits(dt), and the true count lies in
-    [0, 2^D], inside [0, 2^bits(dt))."""
+    field.  The prefix table is built in dt and may wrap, but the window
+    counts stay exact: inclusion-exclusion is an integer identity, so it
+    holds modulo 2^bits(dt), and the true count lies in [0, 2^D], inside
+    [0, 2^bits(dt))."""
     shapes = list(shapes)
     if not shapes:
         raise ParameterError("need at least one shape")
@@ -193,7 +215,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     windows = [_shape_window(grid, s) for s in shapes]
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     dt = np.min_scalar_type(1 << D)
-    P = prefix_sums(mask).astype(dt)
+    P = prefix_sums(mask, dt)
     out = np.zeros(grid.shape, dtype=dt)
     for shape, window in zip(shapes, windows):
         S = _placement_counts(P, window)

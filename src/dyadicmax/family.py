@@ -41,15 +41,17 @@ def find_progression(A, m: int) -> range | None:
         return None
     members = set(elems)
     gap = min(b - a for a, b in zip(elems, elems[1:]))  # no step is smaller
-    best = None
+    top, best = elems[-1], None
     # only differences of members can be steps; per start they ascend, so
     # a start's scan stops at the first step not below the best one found
+    # or whose last term passes max(A), and the starts stop once even the
+    # smallest step would pass it
     for k, u0 in enumerate(elems):
-        if best is not None and best.step == gap:
+        if (best is not None and best.step == gap) or u0 + (m - 1) * gap > top:
             break
         for j in range(k + 1, len(elems)):
             d = elems[j] - u0
-            if best is not None and d >= best.step:
+            if (best is not None and d >= best.step) or u0 + (m - 1) * d > top:
                 break
             if all(u0 + i * d in members for i in range(2, m)):
                 best = range(u0, u0 + m * d, d)

@@ -93,6 +93,31 @@ def product_field_cases(draw):
     return masks, exps
 
 
+@st.composite
+def product_crystal_cases(draw):
+    """A product of n = 1..4 crystals, each over a scale set of step 1..3,
+    on a grid of at most 4096 cells whose resolution is at or below the
+    smallest scale and whose extent is past the largest, so every axis
+    ends in zero cells; and one to three compatible shapes."""
+    n = draw(st.integers(1, 4))
+    sets, res, ext, spare = [], [], [], 12
+    for j in range(n):
+        room = spare - (n - 1 - j)  # one tail cell for every later axis
+        d = draw(st.integers(1, 3))
+        m = draw(st.integers(1, 1 + (room - 1) // d))
+        below = draw(st.integers(0, room - 1 - (m - 1) * d))
+        tail = draw(st.integers(1, room - below - (m - 1) * d))
+        lo = draw(st.integers(-3, 3))
+        sets.append(ScaleSet(range(lo, lo + m * d, d)))
+        res.append(lo - below)
+        ext.append(sets[-1].max + tail)
+        spare -= below + (m - 1) * d + tail
+    grid = GridSpec(res, ext)
+    exponent = [st.integers(r, L) for r, L in zip(res, ext)]
+    rects = draw(st.lists(st.tuples(*exponent), min_size=1, max_size=3))
+    return product_crystal(*sets), grid, rects
+
+
 class TestGridSpec:
     def test_cells_and_volume(self):
         g = GridSpec((0, -1), (2, 1))
@@ -200,6 +225,39 @@ class TestPrefixSums:
             for _ in range(50):
                 i = tuple(int(rng.integers(0, n + 1)) for n in shape)
                 assert P[i] == naive_box_sum(mask.values, origin, i)
+
+
+class TestFactoredPrefixSums:
+    """A rasterized crystal's table is the outer product of its axis
+    tables; the dense table of the same values is the oracle."""
+
+    @given(case=product_crystal_cases())
+    # 32 x 8 kept cells: the uint8 table wraps to 0 at the far corner
+    @example(case=(
+        product_crystal(ScaleSet((1, 3)), ScaleSet((0, 2))),
+        GridSpec((-3, -2), (4, 3)), [(4, 3), (1, 0)],
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_against_the_dense_table(self, case):
+        E, grid, rects = case
+        mask = rasterize(E, grid)
+        assert mask.axes is not None
+        dense = BitMask(grid, mask.values.copy())
+        P = prefix_sums(mask)
+        assert P.dtype == np.int64 and np.array_equal(P, prefix_sums(dense))
+        for dt in (np.uint8, np.uint16, np.uint32):
+            residues = P % (1 << (8 * np.dtype(dt).itemsize))
+            for source in (mask, dense):
+                narrow = prefix_sums(source, dt)
+                assert narrow.dtype == dt and np.array_equal(narrow, residues)
+        shapes = [Shape(r) for r in rects]
+        fld, want = maximal_field(mask, shapes), maximal_field(dense, shapes)
+        assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
+        assert np.array_equal(fld.num, want.num)
+        # the factors and their product are read-only, so none goes stale
+        for a in (mask.values, *mask.axes):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = not a[(0,) * a.ndim]
 
 
 def assert_field_matches_naive(mask, rects):

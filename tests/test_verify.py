@@ -220,6 +220,27 @@ class TestVerifyTheorem:
         assert rep.inclusion_ok
         assert rep.union_Y <= rep.superlevel
 
+    # (S, S_alt, |∪Y|) as (mantissa, exponent), recorded from the dense
+    # pipeline before prefix tables were factored per axis
+    @pytest.mark.parametrize(
+        "n, A, m, S, S_alt, union_Y",
+        [
+            (2, range(0, 8, 2), 4, (1477, -6), (2183, -6), (5, 2)),
+            (2, range(0, 9, 3), 3, (2153, -6), (3299, -6), (1, 5)),
+            (3, range(0, 8, 2), 4, (25003, -6), (46303, -6), (19, 4)),
+            (3, range(-2, 4, 2), 3, (235, -2), (385, -2), (13, 2)),
+            (2, range(3, 13, 2), 5, (15125, -8), (23699, -8), (3, 4)),
+        ],
+    )
+    def test_reports_on_multi_cell_crystals(self, n, A, m, S, S_alt, union_Y):
+        # on step 1, E is one grid cell; on these steps it is a crystal
+        inst = build_instance(n, find_progression(A, m))
+        assert np.count_nonzero(rasterize(inst.E, inst.grid).values) > 1
+        rep = verify_theorem(n, A, m)
+        assert rep.passed
+        got = (rep.superlevel, rep.superlevel_alt, rep.union_Y)
+        assert got == tuple(DyadicRational(*x) for x in (S, S_alt, union_Y))
+
     def test_family_pass_is_bounded_by_the_grid(self):
         # 1000^3 family shapes; only those whose scales fit the
         # 8-cell grid are built
