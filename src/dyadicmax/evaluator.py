@@ -14,6 +14,11 @@ anchored box is the product of its per-axis counts: its prefix table is
 the outer product of 1D prefix tables, one per axis.  It is built that
 way, in the kernel's type, with no cumulative sum over the grid.
 
+`BitMask(grid, values)` is the one way to build a mask: values must be
+a bool ndarray of the grid's shape, the per-axis factors are attached by
+`rasterize` alone, so they always agree with values, and masks and
+fields compare by identity.
+
 A field that is an outer product of lower-dimensional fields, such as
 the unit cube's family field (the n-fold product of one 1D field), is
 never built: `product_superlevel_measure` counts its superlevel set over
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -43,7 +48,7 @@ DEFAULT_CELL_BUDGET = 1 << 30
 def check_budget(cells_exponent: int, budget: int) -> None:
     """Refuse 2^cells_exponent cells over the budget; callers pass the
     exponent before they build anything of the grid's size."""
-    if not isinstance(budget, int) or budget <= 0:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget <= 0:
         raise ParameterError(f"cell budget must be a positive integer, got {budget!r}")
     # 2^k > budget exactly when k reaches the budget's bit length; the
     # cell count 2^k itself may be too long to build or print
@@ -96,12 +101,19 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitMask:
     grid: GridSpec
     values: np.ndarray  # bool, shape = grid.shape
     # per-axis bool cells whose outer AND is values, set by rasterize only
-    axes: tuple[np.ndarray, ...] | None = None
+    axes: tuple[np.ndarray, ...] | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        v = self.values
+        if not isinstance(v, np.ndarray) or v.dtype != bool or v.shape != self.grid.shape:
+            raise ParameterError(
+                f"mask values must be a bool ndarray of shape {self.grid.shape}"
+            )
 
     def measure(self) -> DyadicRational:
         return DyadicRational(
@@ -109,7 +121,7 @@ class BitMask:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AverageField:
     """Per-cell exact averages num * 2^(-denom_exp) on the grid, so
     0 <= num <= 2^denom_exp, stored in min_scalar_type(2^denom_exp)."""
@@ -130,7 +142,8 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
     values = reduce(lambda acc, a: acc[..., None] & a, axes[1:], axes[0])
     for a in (values, *axes):  # so the factors cannot go stale
         a.flags.writeable = False
-    mask = BitMask(grid, values, axes)
+    mask = BitMask(grid, values)
+    object.__setattr__(mask, "axes", axes)
     if mask.measure() != crystal_measure(E):
         raise ConstructionError("rasterized measure differs from the crystal measure")
     return mask

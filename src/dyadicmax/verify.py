@@ -79,7 +79,7 @@ def fraction_decimal(q: Fraction) -> str:
     return str(ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoremInstance:
     """All derived objects of the construction for one (n, progression)."""
 

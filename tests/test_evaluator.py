@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from functools import reduce
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bruteforce import naive_anchored_union, naive_box_sum, naive_maximal
 from dyadicmax.crystal import (
@@ -28,6 +30,7 @@ from dyadicmax.evaluator import (
     rasterize,
     superlevel_mask,
 )
+from dyadicmax.verify import build_instance
 
 rng = np.random.default_rng(20260824)
 
@@ -141,9 +144,9 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec((1,), (0,))
 
-    @pytest.mark.parametrize("budget", [0, -1, -5, 4.0, 2.5, "8", None])
+    @pytest.mark.parametrize("budget", [0, -1, -5, 4.0, 2.5, "8", None, True, False])
     def test_budget_must_be_a_positive_integer(self, budget):
-        # a negative budget must not act as its absolute value
+        # a negative budget must not act as its absolute value, nor True as 1
         with pytest.raises(ParameterError, match="positive integer"):
             GridSpec((0, 0), (1, 1), budget=budget)
 
@@ -195,6 +198,76 @@ class TestRasterize:
         monkeypatch.setattr(Crystal1D, "cells", one_dropped)
         with pytest.raises(ConstructionError):
             rasterize(E, GridSpec((0, 0), (2, 1)))
+
+
+@st.composite
+def malformed_mask_values(draw):
+    """A grid of at most 64 cells and values that are not a bool array of
+    its shape: a non-bool dtype of the grid's shape, a bool array of
+    another shape, or the right bools as a nested list."""
+    ks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    grid = GridSpec((0,) * len(ks), tuple(ks))
+    kind = draw(st.sampled_from(["dtype", "shape", "list"]))
+    if kind == "dtype":
+        dtype = draw(st.one_of(
+            hnp.integer_dtypes(), hnp.unsigned_integer_dtypes(),
+            hnp.floating_dtypes(), st.just(np.dtype(object)),
+        ))
+        return grid, draw(hnp.arrays(dtype, grid.shape, elements=st.integers(0, 1)))
+    if kind == "shape":
+        shapes = hnp.array_shapes(min_dims=0, max_dims=4, max_side=4)
+        return grid, np.ones(draw(shapes.filter(lambda s: s != grid.shape)), dtype=bool)
+    return grid, np.ones(grid.shape, dtype=bool).tolist()
+
+
+class TestBitMaskContract:
+    """A mask is built only as BitMask(grid, values) from a bool array of
+    the grid's shape; only rasterize attaches the per-axis factors (that
+    they are read-only is checked in TestFactoredPrefixSums); masks,
+    fields and instances compare by identity."""
+
+    @given(case=malformed_mask_values())
+    # an int mask's field would disagree with its own popcount measure
+    @example(case=(GridSpec((0,), (2,)), np.array([1, 0, 2, 0])))
+    @settings(max_examples=80, deadline=None)
+    def test_malformed_values_raise(self, case):
+        grid, values = case
+        with pytest.raises(ParameterError, match="bool ndarray"):
+            BitMask(grid, values)
+
+    def test_factors_cannot_be_passed(self):
+        mask = rasterize(
+            product_crystal(ScaleSet((1,)), ScaleSet((1,))), GridSpec((0, 0), (1, 1))
+        )
+        with pytest.raises(TypeError):
+            BitMask(mask.grid, mask.values, mask.axes)
+
+    def test_replaced_values_drop_the_factors(self):
+        # all-True factors next to one corner cell: a mask that kept them
+        # would read 1 at every cell of the unit-shape field
+        grid = GridSpec((0, 0), (1, 1))
+        full = rasterize(product_crystal(ScaleSet((1,)), ScaleSet((1,))), grid)
+        assert [a.tolist() for a in full.axes] == [[True, True]] * 2
+        corner = np.zeros(grid.shape, dtype=bool)
+        corner[0, 0] = True
+        replaced = dataclasses.replace(full, values=corner)
+        assert replaced.axes is None
+        unit = [Shape((0, 0))]
+        got = maximal_field(replaced, unit)
+        assert got.num.tolist() == [[1, 0], [0, 0]]
+        assert np.array_equal(got.num, maximal_field(BitMask(grid, corner), unit).num)
+
+    def test_equality_and_hash_are_identity(self):
+        grid = GridSpec((0,), (2,))
+        values = np.ones(grid.shape, dtype=bool)
+        mask, twin = BitMask(grid, values), BitMask(grid, values.copy())
+        fld = maximal_field(mask, [Shape((1,))])
+        fld_twin = maximal_field(twin, [Shape((1,))])
+        inst, inst_twin = build_instance(2, range(3)), build_instance(2, range(3))
+        for a, b in [(mask, twin), (fld, fld_twin), (inst, inst_twin)]:
+            assert a == a and hash(a) == hash(a)
+            assert a != b
+            assert len({a, b}) == 2
 
 
 class TestPrefixSums:

@@ -293,7 +293,7 @@ class TestCubeCounterexample:
         with pytest.raises(ParameterError):
             cube_counterexample(0, 3)
 
-    @pytest.mark.parametrize("budget", [-7, 0, 64.0])
+    @pytest.mark.parametrize("budget", [-7, 0, 64.0, True, False])
     def test_budget_must_be_a_positive_integer(self, budget):
         with pytest.raises(ParameterError, match="positive integer"):
             cube_counterexample(2, 1, budget=budget)
