@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import index
 
 import numpy as np
 
@@ -29,7 +30,7 @@ class ScaleSet:
     scales: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(self.scales))
+        object.__setattr__(self, "scales", tuple(map(index, self.scales)))
         if not self.scales:
             raise ParameterError("scale set must be non-empty")
         if any(a >= b for a, b in zip(self.scales, self.scales[1:])):
@@ -83,7 +84,7 @@ class Shape:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+        object.__setattr__(self, "exponents", tuple(map(index, self.exponents)))
 
     def __len__(self) -> int:
         return len(self.exponents)

@@ -1,13 +1,14 @@
 """Exact grid evaluation of rectangle maximal fields.
 
 Crystals are rasterized onto an n-dimensional cell grid; window counts
-come from integer prefix sums, and the maximal field is a running
-maximum over shapes and cell-aligned in-box placements (`maximal_field`
-says why overhanging ones can be skipped), taken one axis at a time by
-doubling passes over the dyadic windows.  Every value is an integer
-numerator over a power-of-two denominator, so all comparisons and
-measures are exact.  The kernel works in, and returns its field in, the
-smallest unsigned integer type that holds the common numerator 2^D.
+come from integer prefix sums.  A shape's field is the maximum over its
+cell-aligned in-box placements (`maximal_field` says why overhanging
+ones can be skipped), taken one axis at a time by doubling passes over
+the dyadic windows, and the maximal field is the maximum of its shape
+fields.  Every value is an integer numerator over a power-of-two
+denominator, so all comparisons and measures are exact.  The kernel
+works in, and returns its field in, the smallest unsigned integer type
+that holds the common numerator 2^D.
 
 A rasterized crystal is a product set, so the count of its cells in an
 anchored box is the product of its per-axis counts: its prefix table is
@@ -35,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import index
 
 import numpy as np
 
@@ -65,8 +67,8 @@ class GridSpec:
     budget: int = DEFAULT_CELL_BUDGET
 
     def __post_init__(self):
-        object.__setattr__(self, "resolution", tuple(self.resolution))
-        object.__setattr__(self, "extent", tuple(self.extent))
+        object.__setattr__(self, "resolution", tuple(map(index, self.resolution)))
+        object.__setattr__(self, "extent", tuple(map(index, self.extent)))
         if len(self.resolution) != len(self.extent):
             raise ParameterError("resolution/extent dimension mismatch")
         if any(r > L for r, L in zip(self.resolution, self.extent)):
@@ -216,11 +218,11 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     kernel holds is at most 2^D: a window count is at most the window's
     2^(D_s) cells, and shifting it by D - D_s to the common denominator
     keeps it at most 2^D because an average is at most 1.  So the kernel
-    runs in dt = min_scalar_type(2^D) and returns its dt array as the
-    field.  The prefix table is built in dt and may wrap, but the window
-    counts stay exact: inclusion-exclusion is an integer identity, so it
-    holds modulo 2^bits(dt), and the true count lies in [0, 2^D], inside
-    [0, 2^bits(dt))."""
+    runs in dt = min_scalar_type(2^D); the first shape's dt array, with
+    each later one maxed in, is the field.  The prefix table is built in
+    dt and may wrap, but the window counts stay exact: inclusion-exclusion
+    is an integer identity, so it holds modulo 2^bits(dt), and the true
+    count lies in [0, 2^D], inside [0, 2^bits(dt))."""
     shapes = list(shapes)
     if not shapes:
         raise ParameterError("need at least one shape")
@@ -229,7 +231,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     dt = np.min_scalar_type(1 << D)
     P = prefix_sums(mask, dt)
-    out = np.zeros(grid.shape, dtype=dt)
+    out = None
     for shape, window in zip(shapes, windows):
         S = _placement_counts(P, window)
         for ax, w in enumerate(window):
@@ -244,7 +246,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
                 U[lead + (slice(L, None),)] = S[lead + (slice(L - k, None),)]
                 S, k = U, 2 * k
         S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
-        np.maximum(out, S, out=out)
+        out = S if out is None else np.maximum(out, S, out=out)
     return AverageField(grid, out, D)
 
 
@@ -254,10 +256,8 @@ def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
 
 
 def superlevel_mask(fieldobj: AverageField, threshold: DyadicRational) -> np.ndarray:
-    c = _count_threshold(fieldobj.denom_exp, threshold)
-    if c > 1 << fieldobj.denom_exp:  # above every average
-        return np.zeros_like(fieldobj.num, dtype=bool)
-    return fieldobj.num >= c
+    # exact for a Python int of any size: a count above every average selects none
+    return fieldobj.num >= _count_threshold(fieldobj.denom_exp, threshold)
 
 
 def product_superlevel_measure(fields, threshold: DyadicRational) -> DyadicRational:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
+from operator import index
 
 import numpy as np
 
@@ -310,9 +311,9 @@ def verify_theorem(
     superlevel measure of the family maximal field at threshold
     2^-(m-1) (2^-m reported too); the report derives the ratio."""
     t0 = time.perf_counter()
+    n, m, A = index(n), index(m), sorted({index(a) for a in A})
     if n < 2:
         raise ParameterError("dimension must be at least 2")
-    A = sorted(set(A))
     u = find_progression(A, m)
     if u is None:
         span = f", {A[0]}..{A[-1]}" if A else ""
@@ -375,6 +376,7 @@ def cube_counterexample(
     product of the maxima.  Only the 2^m-cell axis is materialized; the
     budget still counts the n-D grid."""
     t0 = time.perf_counter()
+    n, m = index(n), index(m)
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 and m >= 1")
     check_budget(n * m, budget)  # the n-D grid's 2^(nm) cells

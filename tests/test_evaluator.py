@@ -21,6 +21,7 @@ from dyadicmax.crystal import (
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import BudgetExceededError, ConstructionError, ParameterError
 from dyadicmax.evaluator import (
+    AverageField,
     BitMask,
     GridSpec,
     anchored_union_measure,
@@ -403,6 +404,21 @@ class TestMaximalField:
         assert np.count_nonzero(mask.values) > np.iinfo(np.uint8).max
         assert assert_field_matches_naive(mask, rects).denom_exp == 3
 
+    @given(case=brute_force_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_maximum_of_the_shape_fields(self, case):
+        # each one-shape field is a fresh, writeable array of its own
+        mask, rects = case
+        fld = maximal_field(mask, [Shape(r) for r in rects])
+        want = np.zeros(mask.grid.shape, dtype=np.uint64)
+        for r in rects:
+            one = maximal_field(mask, [Shape(r)])
+            assert one.num.flags.writeable
+            assert not np.shares_memory(one.num, mask.values)
+            shifted = one.num.astype(np.uint64) << (fld.denom_exp - one.denom_exp)
+            np.maximum(want, shifted, out=want)
+        assert np.array_equal(fld.num, want)
+
     def test_small_window_shifted_to_the_common_denominator(self):
         # a full 2-cell window next to the 128-cell one: its count 2 is
         # shifted by 6 to exactly 2^D = 128, the top of the uint8 kernel
@@ -438,6 +454,25 @@ class TestSuperlevel:
         assert at_one.any() and np.array_equal(at_one, fld.num == 1 << D)
         for thr in (DyadicRational((1 << D) + 1, -D), DyadicRational(1 << 70, 0)):
             assert not superlevel_mask(fld, thr).any()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_thresholds_past_the_dtype(self, dtype):
+        # the largest D the dtype holds 2^D for; the counts 3/2 2^D and
+        # 2^(D+100) lie past it, and for uint64 past 2^64
+        D = 8 * np.dtype(dtype).itemsize - 1
+        grid = GridSpec((0,), (2,))
+        num = np.array([0, 1, (1 << D) - 1, 1 << D], dtype=dtype)
+        fld = AverageField(grid, num, D)
+        cases = [
+            (DyadicRational(1, -D), [False, True, True, True]),
+            (DyadicRational(1, 0), [False, False, False, True]),
+            (DyadicRational((1 << D) + 1, -D), [False] * 4),
+            (DyadicRational(3, -1), [False] * 4),
+            (DyadicRational(1, 100), [False] * 4),
+        ]
+        for thr, want in cases:
+            got = superlevel_mask(fld, thr)
+            assert got.dtype == bool and got.tolist() == want
 
     def test_frozen_square_example(self):
         # E = [0,1]^2 in [0,4]^2, shapes (2,0) and (0,2), threshold 1/4

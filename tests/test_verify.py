@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyadicmax
 from dyadicmax.crystal import ScaleSet, Shape, product_crystal
@@ -348,6 +350,87 @@ class TestCubeCounterexample:
 
         monkeypatch.setattr(dyadicmax.verify, "rasterize", slow_rasterize)
         assert cube_counterexample(1, 1).runtime_ms >= 50
+
+
+INTEGER_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+)
+
+
+def holders(values):
+    """The numpy integer dtypes that hold every value."""
+    return [
+        dt for dt in INTEGER_DTYPES
+        if np.iinfo(dt).min <= min(values) and max(values) <= np.iinfo(dt).max
+    ]
+
+
+def payload(report):
+    """The report's JSON payload, runtime aside; `to_json` must succeed."""
+    json.loads(report.to_json())
+    got = report.to_json_dict()
+    got.pop("runtime_ms")
+    return got
+
+
+class TestIntegerInputs:
+    """Numpy integers are read as the Python ints they stand for, and a
+    float is refused at the boundary."""
+
+    @given(
+        n=st.integers(2, 3),
+        m=st.integers(2, 4),
+        start=st.integers(-5, 5),
+        d=st.integers(1, 2),
+        extra=st.sets(st.integers(-5, 5), max_size=3),
+        dtypes=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_verify_theorem(self, n, m, start, d, extra, dtypes):
+        A = sorted(set(range(start, start + m * d, d)) | extra)
+        want = payload(verify_theorem(n, A, m))
+        assert want["description"].startswith(f"n={n}, A={A},")
+        for dt in holders(A):
+            assert payload(verify_theorem(n, np.array(A, dt), m)) == want
+        n_dt, m_dt, a_dt = (
+            dtypes.draw(st.sampled_from(holders(values)))
+            for values in ([n], [m], A)
+        )
+        scalars = [a_dt(a) for a in A]
+        assert payload(verify_theorem(n, scalars, m)) == want
+        assert payload(verify_theorem(n_dt(n), scalars, m_dt(m))) == want
+
+    @given(n=st.integers(1, 3), m=st.integers(1, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_cube_counterexample(self, n, m):
+        want = payload(cube_counterexample(n, m))
+        for dt in holders([n, m]):
+            assert payload(cube_counterexample(dt(n), dt(m))) == want
+
+    @pytest.mark.parametrize("dt", INTEGER_DTYPES)
+    def test_value_types_store_ints(self, dt):
+        v = np.arange(3, dtype=dt)
+        grid = GridSpec(v, v + 1)
+        for got in (ScaleSet(v).scales, Shape(v).exponents, grid.resolution, grid.extent):
+            assert all(type(x) is int for x in got)
+        assert grid.extent == (1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_theorem(2, [0, 1, 2.0], 3),
+            lambda: verify_theorem(2.0, [0, 1, 2], 3),
+            lambda: verify_theorem(2, [0, 1, 2], 3.0),
+            lambda: cube_counterexample(2, 3.0),
+            lambda: Shape((0, 1.0)),
+            lambda: ScaleSet((0.0, 1)),
+            lambda: GridSpec((0.0,), (1,)),
+        ],
+        ids=["member", "n", "m", "cube-m", "Shape", "ScaleSet", "GridSpec"],
+    )
+    def test_a_float_is_refused(self, run):
+        with pytest.raises(TypeError, match="integer"):
+            run()
 
 
 class TestCubeClosedForms:
