@@ -5,10 +5,14 @@ come from integer prefix sums.  A shape's field is the maximum over its
 cell-aligned in-box placements (`maximal_field` says why overhanging
 ones can be skipped), taken one axis at a time by doubling passes over
 the dyadic windows, and the maximal field is the maximum of its shape
-fields.  Every value is an integer numerator over a power-of-two
-denominator, so all comparisons and measures are exact.  The kernel
-works in, and returns its field in, the smallest unsigned integer type
-that holds the common numerator 2^D.
+fields.  A shape's field is zero outside its reach, the cells of the
+placements that meet the mask's support box, so it is computed only
+there and maxed into a zero-initialized field; only a shape whose
+reach is the whole grid can become the field itself.  Every value is
+an integer numerator over a power-of-two denominator, so all
+comparisons and measures are exact.  The kernel works in, and returns
+its field in, the smallest unsigned integer type that holds the common
+numerator 2^D.
 
 A rasterized crystal is a product set, so the count of its cells in an
 anchored box is the product of its per-axis counts: its prefix table is
@@ -47,15 +51,22 @@ from .errors import BudgetExceededError, ConstructionError, ParameterError
 DEFAULT_CELL_BUDGET = 1 << 30
 
 
-def check_budget(cells_exponent: int, budget: int) -> None:
-    """Refuse 2^cells_exponent cells over the budget; callers pass the
-    exponent before they build anything of the grid's size."""
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget <= 0:
+def check_budget(cells_exponent: int, budget: int) -> int:
+    """Refuse 2^cells_exponent cells over the budget, and return the
+    budget as a Python int; callers pass the exponent before they build
+    anything of the grid's size."""
+    try:
+        # read as every integer of a run is, but a bool is not a count
+        limit = None if isinstance(budget, (bool, np.bool_)) else index(budget)
+    except TypeError:
+        limit = None
+    if limit is None or limit <= 0:
         raise ParameterError(f"cell budget must be a positive integer, got {budget!r}")
     # 2^k > budget exactly when k reaches the budget's bit length; the
     # cell count 2^k itself may be too long to build or print
-    if cells_exponent >= budget.bit_length():
-        raise BudgetExceededError(cells_exponent, budget)
+    if cells_exponent >= limit.bit_length():
+        raise BudgetExceededError(cells_exponent, limit)
+    return limit
 
 
 @dataclass(frozen=True)
@@ -71,9 +82,12 @@ class GridSpec:
         object.__setattr__(self, "extent", tuple(map(index, self.extent)))
         if len(self.resolution) != len(self.extent):
             raise ParameterError("resolution/extent dimension mismatch")
+        if not self.resolution:
+            raise ParameterError("a grid needs at least one axis")
         if any(r > L for r, L in zip(self.resolution, self.extent)):
             raise ParameterError("resolution coarser than extent")
-        check_budget(self.cells_exponent, self.budget)
+        budget = check_budget(self.cells_exponent, self.budget)
+        object.__setattr__(self, "budget", budget)
 
     @property
     def dimension(self) -> int:
@@ -198,6 +212,20 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
     return tuple(1 << (a - r) for a, r in zip(shape.exponents, grid.resolution))
 
 
+def _support_box(values: np.ndarray) -> list[tuple[int, int]] | None:
+    """Per axis, the first and last index of a set cell, from one `any`
+    reduction per axis (a 1D mask is its own reduction); None for an
+    empty mask."""
+    box = []
+    for ax in range(values.ndim):
+        others = tuple(a for a in range(values.ndim) if a != ax)
+        hits = (values.any(axis=others) if others else values).nonzero()[0]
+        if not hits.size:
+            return None
+        box.append((int(hits[0]), int(hits[-1])))
+    return box
+
+
 def maximal_field(mask: BitMask, shapes) -> AverageField:
     """Per cell, the maximum rectangle average over all shapes and all
     aligned placements containing the cell.
@@ -207,22 +235,37 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     the in-box placement at the clamped anchor clip(p, 0, N - w), which
     still contains the cell, so the maximum is unchanged.
 
-    Per axis, log2(w) doubling passes turn the M = N - w + 1 anchor
-    counts into the N cell maxima (w is a power of two).  Before the
-    pass with window k the axis has length L = M + k - 1 and S[x] is the
-    maximum over the anchors in [x - k + 1, x] ∩ [0, M - 1]; the pass
-    sets U[x] = max(S[x - k], S[x]) over the indices inside [0, L), for
-    x in [0, L + k), which is the same statement for 2k.
+    Of those, only the anchors whose window meets the mask's support box
+    [lo, hi] are scanned: per axis, [a0, a1] = [max(0, lo - w + 1),
+    min(hi, N - w)], a nonempty range since lo <= hi <= N - 1.  This is
+    exact.  Counts are >= 0, and every anchor outside the crop counts 0,
+    since on some axis its window ends before lo or starts after hi.
+    Each cell of the shape's reach, the product of [a0, a1 + w), lies in
+    the window of a cropped anchor, so its maximum is taken over every
+    anchor that can count; a cell outside the reach sees only zero-count
+    placements.  So each shape's field is computed on its reach and
+    maxed into a zero-filled field, unless the reach is the whole grid
+    and no field exists yet: then the shape's array is the running
+    maximum, and a mask whose support fills the grid pays no zero-fill.
+    An empty mask's field is all zero.
+
+    Per axis, log2(w) doubling passes turn the M = a1 - a0 + 1 anchor
+    counts into the M + w - 1 cell maxima of the reach (w is a power of
+    two).  Before the pass with window k the axis has length
+    L = M + k - 1 and S[x] is the maximum over the anchors in
+    [x - k + 1, x] ∩ [0, M - 1]; the pass sets U[x] = max(S[x - k], S[x])
+    over the indices inside [0, L), for x in [0, L + k), which is the same
+    statement for 2k.
 
     With D the largest shape volume exponent in cells, every value the
     kernel holds is at most 2^D: a window count is at most the window's
     2^(D_s) cells, and shifting it by D - D_s to the common denominator
     keeps it at most 2^D because an average is at most 1.  So the kernel
-    runs in dt = min_scalar_type(2^D); the first shape's dt array, with
-    each later one maxed in, is the field.  The prefix table is built in
-    dt and may wrap, but the window counts stay exact: inclusion-exclusion
-    is an integer identity, so it holds modulo 2^bits(dt), and the true
-    count lies in [0, 2^D], inside [0, 2^bits(dt))."""
+    runs in, and returns its field in, dt = min_scalar_type(2^D).  The
+    prefix table is built in dt and may wrap, but the window counts stay
+    exact: inclusion-exclusion is an integer identity, so it holds modulo
+    2^bits(dt), and the true count lies in [0, 2^D], inside
+    [0, 2^bits(dt))."""
     shapes = list(shapes)
     if not shapes:
         raise ParameterError("need at least one shape")
@@ -230,10 +273,20 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     windows = [_shape_window(grid, s) for s in shapes]
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     dt = np.min_scalar_type(1 << D)
+    box = _support_box(mask.values)
+    if box is None:
+        return AverageField(grid, np.zeros(grid.shape, dt), D)
     P = prefix_sums(mask, dt)
+    dims = grid.shape  # a property that builds a tuple
     out = None
     for shape, window in zip(shapes, windows):
-        S = _placement_counts(P, window)
+        # per axis the reach [a0, a1 + w) of the anchors [a0, a1] whose
+        # windows meet the support box; their counts need P[a0 : a1 + w + 1]
+        reach = tuple(
+            slice(max(0, lo - w + 1), min(hi, N - w) + w)
+            for (lo, hi), w, N in zip(box, window, dims)
+        )
+        S = _placement_counts(P[tuple(slice(r.start, r.stop + 1) for r in reach)], window)
         for ax, w in enumerate(window):
             lead = (slice(None),) * ax
             k = 1
@@ -246,7 +299,13 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
                 U[lead + (slice(L, None),)] = S[lead + (slice(L - k, None),)]
                 S, k = U, 2 * k
         S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
-        out = S if out is None else np.maximum(out, S, out=out)
+        if out is None:
+            if S.shape == dims:
+                out = S
+                continue
+            out = np.zeros(dims, dt)
+        part = out[reach]
+        np.maximum(part, S, out=part)
     return AverageField(grid, out, D)
 
 

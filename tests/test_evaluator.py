@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
@@ -52,12 +53,23 @@ def _fixed_case(shape, rects):
     return BitMask(grid, values), rects
 
 
+def _cells_case(shape, cells, rects):
+    """A mask at resolution 0 whose set cells are exactly `cells`."""
+    grid = GridSpec((0,) * len(shape), tuple(n.bit_length() - 1 for n in shape))
+    values = np.zeros(shape, dtype=bool)
+    for c in cells:
+        values[c] = True
+    return BitMask(grid, values), rects
+
+
 @st.composite
 def brute_force_cases(draw):
     """A grid of at most 64 cells in n = 1..4 dimensions at mixed
-    resolutions; a random, empty, full or single-corner-cell mask; and
-    one to three shapes whose windows run from one cell (w_j = 1) to the
-    whole axis (w_j = N_j, one in-box anchor)."""
+    resolutions; a random, empty, full, single-corner-cell or box mask
+    (random cells inside a random sub-box, one of them always set, down
+    to a single interior cell); and one to three shapes whose windows
+    run from one cell (w_j = 1) to the whole axis (w_j = N_j, one in-box
+    anchor)."""
     n = draw(st.integers(1, 4))
     ks, spare = [], 6
     for _ in range(n):
@@ -65,7 +77,7 @@ def brute_force_cases(draw):
         spare -= ks[-1]
     res = tuple(draw(st.integers(-2, 2)) for _ in range(n))
     grid = GridSpec(res, tuple(r + k for r, k in zip(res, ks)))
-    kind = draw(st.sampled_from(["random", "empty", "full", "corner"]))
+    kind = draw(st.sampled_from(["random", "empty", "full", "corner", "box"]))
     if kind == "random":
         bits = draw(st.lists(st.booleans(), min_size=grid.ncells, max_size=grid.ncells))
         values = np.array(bits, dtype=bool).reshape(grid.shape)
@@ -73,6 +85,14 @@ def brute_force_cases(draw):
         values = np.full(grid.shape, kind == "full")
     if kind == "corner":
         values[tuple(draw(st.sampled_from((0, N - 1))) for N in grid.shape)] = True
+    if kind == "box":
+        lo = [draw(st.integers(0, N - 1)) for N in grid.shape]
+        hi = [draw(st.integers(a, N - 1)) for a, N in zip(lo, grid.shape)]
+        box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        size = values[box].size
+        bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        values[box] = np.array(bits, dtype=bool).reshape(values[box].shape)
+        values[tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi))] = True
     exponent = [
         st.one_of(st.sampled_from((r, r + k)), st.integers(r, r + k))
         for r, k in zip(res, ks)
@@ -145,11 +165,29 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec((1,), (0,))
 
-    @pytest.mark.parametrize("budget", [0, -1, -5, 4.0, 2.5, "8", None, True, False])
+    def test_dimension_zero_refused(self):
+        # a 0-d grid has one cell but no axis to slide a window along
+        with pytest.raises(ParameterError, match="at least one axis"):
+            GridSpec((), ())
+
+    @pytest.mark.parametrize("budget", [
+        0, -1, -5, 4.0, 2.5, "8", None, True, False,
+        *(pytest.param(b, id=f"np.{type(b).__name__}({b})") for b in (
+            np.int64(0), np.int8(-3), np.uint8(0), np.bool_(True), np.bool_(False),
+            np.float64(4.0), np.array([8]),
+        )),
+    ])
     def test_budget_must_be_a_positive_integer(self, budget):
         # a negative budget must not act as its absolute value, nor True as 1
         with pytest.raises(ParameterError, match="positive integer"):
             GridSpec((0, 0), (1, 1), budget=budget)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16, np.uint64])
+    def test_numpy_integer_budget(self, kind):
+        # read with operator.index: refused exactly when 2^k > budget
+        assert type(GridSpec((0,), (6,), budget=kind(64)).budget) is int
+        with pytest.raises(BudgetExceededError):
+            GridSpec((0,), (6,), budget=kind(63))
 
 
 class TestRasterize:
@@ -379,6 +417,17 @@ class TestMaximalField:
     @example(case=_fixed_case((8, 16), [(0, 2), (2, 1), (3, 4)]))
     @example(case=_fixed_case((4, 4, 4), [(1, 1, 0), (2, 0, 2)]))
     @example(case=_fixed_case((4, 2, 4, 4), [(1, 1, 0, 2), (2, 0, 1, 1)]))
+    # one interior cell: every reach is a proper sub-box of the grid
+    @example(case=_cells_case((8, 8), [(3, 4)], [(1, 2), (0, 0)]))
+    # the anchor range clamped at 0 on the first axis and at N - w on the
+    # second, then the other way round
+    @example(case=_cells_case((16, 16), [(1, 14)], [(3, 3), (2, 0)]))
+    @example(case=_cells_case((16, 16), [(14, 1), (13, 2)], [(3, 3), (0, 2)]))
+    # a reach equal to the whole grid (cells 7 and 8 meet every 8-cell
+    # window) after one that is not, and a whole-grid window first, with
+    # a smaller reach folded into it
+    @example(case=_cells_case((16,), [(7,), (8,)], [(1,), (3,)]))
+    @example(case=_cells_case((16, 8), [(5, 2)], [(4, 3), (1, 1)]))
     @settings(max_examples=80, deadline=None)
     def test_against_brute_force(self, case):
         assert_field_matches_naive(*case)
@@ -417,6 +466,30 @@ class TestMaximalField:
             assert not np.shares_memory(one.num, mask.values)
             shifted = one.num.astype(np.uint64) << (fld.denom_exp - one.denom_exp)
             np.maximum(want, shifted, out=want)
+        assert np.array_equal(fld.num, want)
+
+    def test_field_is_built_only_on_the_reach(self):
+        # one set cell on a 2^20-cell grid, 16 x 16 windows: the uint16
+        # prefix table and the zero-filled field are the only grid-sized
+        # arrays; scanning every anchor would hold the table, a shape
+        # field and a doubling buffer, about three
+        grid = GridSpec((0, 0), (10, 10))
+        values = np.zeros(grid.shape, dtype=bool)
+        values[500, 300] = True
+        mask = BitMask(grid, values)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fld = maximal_field(mask, [Shape((4, 4))])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fld.num.dtype == np.uint16
+        assert peak < 2.5 * grid.ncells * fld.num.itemsize
+        # a window holds the cell and x when |x - c| < 16 on each axis
+        want = np.zeros(grid.shape, dtype=np.uint16)
+        want[485:516, 285:316] = 1
         assert np.array_equal(fld.num, want)
 
     def test_small_window_shifted_to_the_common_denominator(self):
