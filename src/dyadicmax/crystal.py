@@ -85,6 +85,8 @@ class Shape:
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(map(index, self.exponents)))
+        if not self.exponents:
+            raise ParameterError("a shape needs at least one axis")
 
     def __len__(self) -> int:
         return len(self.exponents)

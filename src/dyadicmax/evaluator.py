@@ -17,7 +17,9 @@ numerator 2^D.
 A rasterized crystal is a product set, so the count of its cells in an
 anchored box is the product of its per-axis counts: its prefix table is
 the outer product of 1D prefix tables, one per axis.  It is built that
-way, in the kernel's type, with no cumulative sum over the grid.
+way, in the kernel's type, with no cumulative sum over the grid.  Its
+measure, its support box and the index of its set cells are read from
+the factors as well, with no pass over the grid.
 
 `BitMask(grid, values)` is the one way to build a mask: values must be
 a bool ndarray of the grid's shape, the per-axis factors are attached by
@@ -132,9 +134,20 @@ class BitMask:
             )
 
     def measure(self) -> DyadicRational:
-        return DyadicRational(
-            int(np.count_nonzero(self.values)), self.grid.cell_volume_exponent
-        )
+        if self.axes is None:
+            count = int(np.count_nonzero(self.values))
+        else:  # the set cells of a product set: the product of its axis counts
+            count = math.prod(int(np.count_nonzero(a)) for a in self.axes)
+        return DyadicRational(count, self.grid.cell_volume_exponent)
+
+    def cell_index(self):
+        """An index selecting the set cells, for arr[idx] and
+        arr[idx] = ...: the open mesh of each axis's set cells for a
+        rasterized mask, so no grid-sized temporary is built, and the
+        values themselves otherwise."""
+        if self.axes is None:
+            return self.values
+        return np.ix_(*(a.nonzero()[0] for a in self.axes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,14 +225,19 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
     return tuple(1 << (a - r) for a, r in zip(shape.exponents, grid.resolution))
 
 
-def _support_box(values: np.ndarray) -> list[tuple[int, int]] | None:
-    """Per axis, the first and last index of a set cell, from one `any`
+def _support_box(mask: BitMask) -> list[tuple[int, int]] | None:
+    """Per axis, the first and last index of a set cell, read from the
+    axis factor of a rasterized mask and otherwise from one `any`
     reduction per axis (a 1D mask is its own reduction); None for an
     empty mask."""
-    box = []
+    values, box = mask.values, []
     for ax in range(values.ndim):
         others = tuple(a for a in range(values.ndim) if a != ax)
-        hits = (values.any(axis=others) if others else values).nonzero()[0]
+        if mask.axes is not None:
+            line = mask.axes[ax]
+        else:
+            line = values.any(axis=others) if others else values
+        hits = line.nonzero()[0]
         if not hits.size:
             return None
         box.append((int(hits[0]), int(hits[-1])))
@@ -273,7 +291,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     windows = [_shape_window(grid, s) for s in shapes]
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     dt = np.min_scalar_type(1 << D)
-    box = _support_box(mask.values)
+    box = _support_box(mask)
     if box is None:
         return AverageField(grid, np.zeros(grid.shape, dt), D)
     P = prefix_sums(mask, dt)

@@ -8,7 +8,10 @@ translation only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import product
+
+import numpy as np
 
 from .crystal import Shape
 from .errors import ParameterError
@@ -33,26 +36,37 @@ def is_member(shape: Shape, n: int, A) -> bool:
 
 def find_progression(A, m: int) -> range | None:
     """Smallest-step, then smallest-start, length-m progression in A, if
-    any, as range(u_0, u_0 + m d, d)."""
+    any, as range(u_0, u_0 + m d, d).
+
+    Per start, every candidate step is tested at once: each term
+    u_0 + i d is looked up by binary search in the sorted members.  A
+    step is cut to (max(A) - u_0) / (m - 1) before it is multiplied, so
+    steps and terms stay within 2 max|A|: the members are int64 when
+    that fits and Python ints in an object array otherwise."""
     if m < 2:
         raise ParameterError("progression length must be at least 2")
     elems = sorted(set(A))
     if len(elems) < m:
         return None
-    members = set(elems)
-    gap = min(b - a for a, b in zip(elems, elems[1:]))  # no step is smaller
     top, best = elems[-1], None
+    wide = 2 * max(-elems[0], top) > np.iinfo(np.int64).max
+    members = np.array(elems, dtype=object if wide else np.int64)
+    gap = min(b - a for a, b in zip(elems, elems[1:]))  # no step is smaller
     # only differences of members can be steps; per start they ascend, so
-    # a start's scan stops at the first step not below the best one found
-    # or whose last term passes max(A), and the starts stop once even the
-    # smallest step would pass it
+    # a start's steps stop below the best one found and where the last
+    # term would pass max(A), and the starts stop once even the smallest
+    # step would pass it
     for k, u0 in enumerate(elems):
         if (best is not None and best.step == gap) or u0 + (m - 1) * gap > top:
             break
-        for j in range(k + 1, len(elems)):
-            d = elems[j] - u0
-            if (best is not None and d >= best.step) or u0 + (m - 1) * d > top:
-                break
-            if all(u0 + i * d in members for i in range(2, m)):
-                best = range(u0, u0 + m * d, d)
+        limit = (top - u0) // (m - 1)
+        if best is not None:
+            limit = min(limit, best.step - 1)
+        steps = members[k + 1 : bisect_right(elems, u0 + limit)] - u0
+        for i in range(2, m):
+            terms = u0 + i * steps
+            steps = steps[members[np.searchsorted(members, terms)] == terms]
+        if steps.size:
+            d = int(steps[0])
+            best = range(u0, u0 + m * d, d)
     return best

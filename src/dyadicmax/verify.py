@@ -53,6 +53,7 @@ from .evaluator import (
     DEFAULT_CELL_BUDGET,
     BitMask,
     GridSpec,
+    _count_threshold,
     anchored_union_measure,
     check_budget,
     maximal_field,
@@ -159,12 +160,15 @@ def check_homogeneity(
 ) -> HomogeneityResult:
     """Rasterized check that every cell of Y(i) sees an R(i)-average of
     1_E at least 2^-k, where |Y(i)| = 2^k |Y(i) ∩ E|; mask_E is E
-    rasterized on the instance grid."""
+    rasterized on the instance grid.
+
+    Both tests read only the cells each mask selects (`cell_index`), so
+    product masks build no grid-sized temporary; only a failed test
+    runs the dense pass that finds its first witness cell."""
     mask_Y = rasterize(instance.Y[i], instance.grid)
-    outside = mask_E.values & ~mask_Y.values
-    if outside.any():
+    if not mask_Y.values[mask_E.cell_index()].all():
         # E ⊂ Y(i) must hold; report the first offending cell
-        bad = np.argwhere(outside)[0]
+        bad = np.argwhere(mask_E.values & ~mask_Y.values)[0]
         return HomogeneityResult(-1, False, tuple(int(v) for v in bad))
     # E ⊂ Y(i), so |Y(i) ∩ E| = |E|; both measures are canonical (odd
     # mantissa), so their ratio is a power of two iff the mantissas agree
@@ -173,12 +177,12 @@ def check_homogeneity(
         raise ConstructionError(f"|Y|/|Y∩E| is not a power of two at index {i}")
     k = mu_Y.exponent - mu_E.exponent
     fld = maximal_field(mask_E, [instance.R[i]])
-    ok = superlevel_mask(fld, DyadicRational.pow2(-k))
-    viol = mask_Y.values & ~ok
-    if viol.any():
-        bad = np.argwhere(viol)[0]
-        return HomogeneityResult(k, False, tuple(int(v) for v in bad))
-    return HomogeneityResult(k, True)
+    threshold = DyadicRational.pow2(-k)
+    seen = fld.num[mask_Y.cell_index()]
+    if int(seen.min()) >= _count_threshold(fld.denom_exp, threshold):
+        return HomogeneityResult(k, True)
+    bad = np.argwhere(mask_Y.values & ~superlevel_mask(fld, threshold))[0]
+    return HomogeneityResult(k, False, tuple(int(v) for v in bad))
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,7 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
 def union_Y_mask(instance: TheoremInstance) -> np.ndarray:
     bits = np.zeros(instance.grid.shape, dtype=bool)
     for i in instance.indices:
-        bits |= rasterize(instance.Y[i], instance.grid).values
+        bits[rasterize(instance.Y[i], instance.grid).cell_index()] = True
     return bits
 
 

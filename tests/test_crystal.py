@@ -169,3 +169,8 @@ class TestShape:
         s = Shape((2, -1, -1))
         assert s.volume_exponent == 0
         assert s.volume() == DyadicRational(1, 0)
+
+    def test_zero_axes_refused(self):
+        # as for a grid: a shape with no axis has no side to place
+        with pytest.raises(ParameterError, match="at least one axis"):
+            Shape(())

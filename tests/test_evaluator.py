@@ -25,6 +25,7 @@ from dyadicmax.evaluator import (
     AverageField,
     BitMask,
     GridSpec,
+    _support_box,
     anchored_union_measure,
     maximal_field,
     prefix_sums,
@@ -370,6 +371,41 @@ class TestFactoredPrefixSums:
         for a in (mask.values, *mask.axes):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = not a[(0,) * a.ndim]
+
+
+@st.composite
+def small_instances(draw):
+    """A theorem instance for n = 2..4, step 1..3 and offset -3..3, with
+    m = 2..5 cut so the grid has at most 2^12 cells."""
+    n, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    m = draw(st.integers(2, min(5, 1 + 12 // (n * d))))
+    u0 = draw(st.integers(-3, 3))
+    return build_instance(n, range(u0, u0 + m * d, d))
+
+
+class TestFactoredMaskAnswers:
+    """A rasterized mask answers its measure, its set cells and its
+    support box from its axis factors; its dense copy, which has none,
+    answers from the grid and is the oracle."""
+
+    @given(inst=small_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_dense_copy(self, inst):
+        for crystal in (inst.E, *inst.Y.values()):
+            mask = rasterize(crystal, inst.grid)
+            dense = BitMask(inst.grid, mask.values.copy())
+            assert mask.axes is not None and dense.axes is None
+            count = int(np.count_nonzero(mask.values))
+            assert mask.measure() == dense.measure() == DyadicRational(
+                count, inst.grid.cell_volume_exponent
+            )
+            assert dense.cell_index() is dense.values
+            for source in (mask, dense):
+                picked = np.zeros(inst.grid.shape, dtype=bool)
+                picked[source.cell_index()] = True
+                assert np.array_equal(picked, mask.values)
+                assert mask.values[source.cell_index()].size == count
+            assert _support_box(mask) == _support_box(dense)
 
 
 def assert_field_matches_naive(mask, rects):

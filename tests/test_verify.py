@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -25,6 +26,7 @@ from dyadicmax.errors import (
 )
 from dyadicmax.evaluator import (
     DEFAULT_CELL_BUDGET,
+    AverageField,
     BitMask,
     GridSpec,
     anchored_union_measure,
@@ -39,9 +41,11 @@ from dyadicmax.verify import (
     check_homogeneity,
     cube_counterexample,
     fraction_decimal,
+    union_Y_mask,
     verify_theorem,
 )
 from dyadicmax.family import find_progression, generate_shapes
+from test_evaluator import small_instances
 
 
 class TestBuildInstance:
@@ -161,6 +165,102 @@ class TestHomogeneity:
         r = check_homogeneity(inst, i, mask_E)
         assert not r.passed and r.k == -1
         assert r.counterexample == tuple(int(v) for v in last)
+
+
+def dense_copy(mask):
+    """The mask's cells without its axis factors."""
+    return BitMask(mask.grid, mask.values.copy())
+
+
+def densely_rasterized(monkeypatch):
+    """Make verify's rasterize return dense copies, so every check runs
+    its dense path."""
+    monkeypatch.setattr(
+        dyadicmax.verify, "rasterize", lambda Y, grid: dense_copy(rasterize(Y, grid))
+    )
+
+
+def lacking_part_of_E(inst, i):
+    """Y(i) with its first axis cut to the crystal over u without its
+    last scale: a product crystal that, on a step of 2 or more, misses
+    the cells of E whose first coordinate lies past 2^u_(m-2)."""
+    u = inst.progression
+    factors = [c.scales for c in inst.Y[i].factors]
+    return product_crystal(ScaleSet(u[:-1]), *factors[1:])
+
+
+class TestHomogeneityOnProductMasks:
+    """check_homogeneity reads a rasterized mask's cells through its
+    axis factors and falls back to the dense pass only for a witness;
+    the same call on dense copies is the oracle."""
+
+    @given(inst=small_instances(), variant=st.sampled_from(["built", "one_cell_R", "Y_lacks_E"]))
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_dense_path(self, inst, variant):
+        # a one-cell R(i) sees the average 1_E, so every cell of Y(i) \ E
+        # fails; a Y(i) lacking part of E fails with k = -1 on step >= 2
+        if variant == "one_cell_R":
+            cell = Shape(inst.grid.resolution)
+            inst = dataclasses.replace(inst, R=dict.fromkeys(inst.R, cell))
+        if variant == "Y_lacks_E":
+            inst = dataclasses.replace(
+                inst, Y={i: lacking_part_of_E(inst, i) for i in inst.indices}
+            )
+        mask_E = rasterize(inst.E, inst.grid)
+        got = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
+        bits = union_Y_mask(inst)
+        with pytest.MonkeyPatch.context() as mp:
+            densely_rasterized(mp)
+            want = [check_homogeneity(inst, i, dense_copy(mask_E)) for i in inst.indices]
+            assert np.array_equal(bits, union_Y_mask(inst))
+        assert got == want
+        if variant == "one_cell_R":
+            assert not any(r.passed for r in got)
+
+    @pytest.mark.parametrize("which", [0, -1])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_cell_below_the_threshold_is_the_witness(self, monkeypatch, which, dense):
+        # lower the first or the last cell of Y(i), in lexicographic
+        # order, below the threshold
+        inst = build_instance(2, range(0, 6, 2))
+        i = inst.indices[1]
+        cell = tuple(int(v) for v in np.argwhere(rasterize(inst.Y[i], inst.grid).values)[which])
+
+        def one_cell_lowered(mask, shapes):
+            fld = maximal_field(mask, shapes)
+            num = fld.num.copy()
+            num[cell] = 0
+            return AverageField(fld.grid, num, fld.denom_exp)
+
+        monkeypatch.setattr(dyadicmax.verify, "maximal_field", one_cell_lowered)
+        mask_E = rasterize(inst.E, inst.grid)
+        if dense:
+            densely_rasterized(monkeypatch)
+            mask_E = dense_copy(mask_E)
+        r = check_homogeneity(inst, i, mask_E)
+        assert not r.passed and r.k == inst.m - 1
+        assert r.counterexample == cell
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_product_Y_lacking_part_of_E(self, monkeypatch, dense):
+        inst = build_instance(2, range(0, 6, 2))
+        i = inst.indices[0]
+        Y = lacking_part_of_E(inst, i)
+        mask_E, mask_Y = rasterize(inst.E, inst.grid), rasterize(Y, inst.grid)
+        assert mask_Y.axes is not None
+        outside = np.argwhere(mask_E.values & ~mask_Y.values)
+        assert len(outside) > 1
+
+        def swapped(C, grid):
+            mask = rasterize(Y if C is inst.Y[i] else C, grid)
+            return dense_copy(mask) if dense else mask
+
+        monkeypatch.setattr(dyadicmax.verify, "rasterize", swapped)
+        if dense:
+            mask_E = dense_copy(mask_E)
+        r = check_homogeneity(inst, i, mask_E)
+        assert (r.k, r.passed) == (-1, False)
+        assert r.counterexample == tuple(int(v) for v in outside[0])
 
 
 class TestDisjointness:
