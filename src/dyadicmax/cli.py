@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -70,16 +71,20 @@ def _parse_int_set(text: str) -> frozenset[int]:
 
 def _check_writable(*paths) -> None:
     """Open every given output path for append before the run, so an
-    unwritable one fails at once; append truncates no existing file.
-    Two paths to one file (same device and inode) are a usage error."""
-    seen = set()
-    for path in paths:
-        if path:
+    unwritable one fails at once; append truncates no existing file, and
+    a file the check creates is removed again, so a run that stops before
+    writing leaves none.  Two paths to one file are a usage error."""
+    seen, fresh = set(), [os.path.realpath(p) for p in paths if p and not os.path.exists(p)]
+    try:
+        for path in filter(None, paths):
             with open(path, "a") as fh:
                 st = os.fstat(fh.fileno())
             if (st.st_dev, st.st_ino) in seen:
                 raise ParameterError(f"two outputs name the same file: {path}")
             seen.add((st.st_dev, st.st_ino))
+    finally:
+        for path in fresh:
+            Path(path).unlink(missing_ok=True)
 
 
 def _write_reports_csv(path: str, reports) -> None:

@@ -14,17 +14,14 @@ comparisons and measures are exact.  The kernel works in, and returns
 its field in, the smallest unsigned integer type that holds the common
 numerator 2^D.
 
-A rasterized crystal is a product set, so the count of its cells in an
-anchored box is the product of its per-axis counts: its prefix table is
-the outer product of 1D prefix tables, one per axis.  It is built that
-way, in the kernel's type, with no cumulative sum over the grid.  Its
-measure, its support box and the index of its set cells are read from
-the factors as well, with no pass over the grid.
-
-`BitMask(grid, values)` is the one way to build a mask: values must be
-a bool ndarray of the grid's shape, the per-axis factors are attached by
-`rasterize` alone, so they always agree with values, and masks and
-fields compare by identity.
+A mask is the outer AND of its factors, bool arrays whose shapes
+concatenate to the grid's: a mask built from values is its own single
+factor, and `rasterize` sets one 1D factor per axis of the product
+crystal.  Measure, prefix table (built in the kernel's type), support
+box and set-cell index are each one formula over the factors, with no
+pass over the grid when the factors are 1D.  Only `rasterize` sets
+factors other than the values, so they always agree with them; masks
+and fields compare by identity.
 
 A field that is an outer product of lower-dimensional fields, such as
 the unit cube's family field (the n-fold product of one 1D field), is
@@ -123,8 +120,8 @@ class GridSpec:
 class BitMask:
     grid: GridSpec
     values: np.ndarray  # bool, shape = grid.shape
-    # per-axis bool cells whose outer AND is values, set by rasterize only
-    axes: tuple[np.ndarray, ...] | None = field(default=None, init=False)
+    # bool arrays whose outer AND is values: (values,) or per-axis cells
+    factors: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
         v = self.values
@@ -132,22 +129,21 @@ class BitMask:
             raise ParameterError(
                 f"mask values must be a bool ndarray of shape {self.grid.shape}"
             )
+        object.__setattr__(self, "factors", (v,))
 
     def measure(self) -> DyadicRational:
-        if self.axes is None:
-            count = int(np.count_nonzero(self.values))
-        else:  # the set cells of a product set: the product of its axis counts
-            count = math.prod(int(np.count_nonzero(a)) for a in self.axes)
+        # the set cells of a product set: the product of its factor counts
+        count = math.prod(int(np.count_nonzero(f)) for f in self.factors)
         return DyadicRational(count, self.grid.cell_volume_exponent)
 
     def cell_index(self):
-        """An index selecting the set cells, for arr[idx] and
-        arr[idx] = ...: the open mesh of each axis's set cells for a
-        rasterized mask, so no grid-sized temporary is built, and the
-        values themselves otherwise."""
-        if self.axes is None:
-            return self.values
-        return np.ix_(*(a.nonzero()[0] for a in self.axes))
+        """An index selecting the set cells, for arr[idx] and arr[idx] = ...:
+        each factor's set-cell coordinates laid along its own result axis
+        (np.ix_'s open mesh for per-axis factors, so no grid-sized
+        temporary), so arr[idx] follows the cells' C order."""
+        F = len(self.factors)
+        return tuple(c.reshape((1,) * j + (-1,) + (1,) * (F - 1 - j))
+                     for j, f in enumerate(self.factors) for c in f.nonzero())
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +168,7 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
     for a in (values, *axes):  # so the factors cannot go stale
         a.flags.writeable = False
     mask = BitMask(grid, values)
-    object.__setattr__(mask, "axes", axes)
+    object.__setattr__(mask, "factors", axes)
     if mask.measure() != crystal_measure(E):
         raise ConstructionError("rasterized measure differs from the crystal measure")
     return mask
@@ -183,14 +179,11 @@ def prefix_sums(mask: BitMask, dtype=np.int64) -> np.ndarray:
     cells in the half-open box [0, i), modulo 2^bits for a dtype too
     narrow to hold it.
 
-    The box [0, i) of a product set meets it in the product of its axis
-    parts, so a rasterized mask's table is the outer product of the 1D
-    tables of its axes; a product of residues mod 2^bits is the residue
-    of the product, so a narrow outer product wraps as the dense table
-    does."""
-    if mask.axes is None:
-        return _cumulative(mask.values, dtype)
-    return reduce(np.multiply.outer, [_cumulative(a, dtype) for a in mask.axes])
+    The box [0, i) of a product set meets it in the product of its
+    factors' parts, so the table is the outer product of the factors'
+    tables; a product of residues mod 2^bits is the residue of the
+    product, so a narrow outer product wraps as one table would."""
+    return reduce(np.multiply.outer, [_cumulative(f, dtype) for f in mask.factors])
 
 
 def _cumulative(values: np.ndarray, dtype) -> np.ndarray:
@@ -226,21 +219,15 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
 
 
 def _support_box(mask: BitMask) -> list[tuple[int, int]] | None:
-    """Per axis, the first and last index of a set cell, read from the
-    axis factor of a rasterized mask and otherwise from one `any`
-    reduction per axis (a 1D mask is its own reduction); None for an
-    empty mask."""
-    values, box = mask.values, []
-    for ax in range(values.ndim):
-        others = tuple(a for a in range(values.ndim) if a != ax)
-        if mask.axes is not None:
-            line = mask.axes[ax]
-        else:
-            line = values.any(axis=others) if others else values
-        hits = line.nonzero()[0]
-        if not hits.size:
-            return None
-        box.append((int(hits[0]), int(hits[-1])))
+    """Per axis, the first and last index of a set cell, from one `any`
+    reduction per axis of each factor; None for an empty mask."""
+    box = []
+    for f in mask.factors:
+        for ax in range(f.ndim):
+            hits = f.any(axis=tuple(a for a in range(f.ndim) if a != ax)).nonzero()[0]
+            if not hits.size:
+                return None
+            box.append((int(hits[0]), int(hits[-1])))
     return box
 
 

@@ -153,6 +153,13 @@ class HomogeneityResult:
     counterexample: tuple[int, ...] | None = None
 
 
+def _first_failure(ok: np.ndarray, idx) -> tuple[int, ...]:
+    """The first failing cell of a test ok read at arr[idx], whose
+    entries follow the cells' C order (`cell_index`)."""
+    at = np.unravel_index(np.argmin(ok), ok.shape)
+    return tuple(int(np.broadcast_to(c, ok.shape)[at]) for c in idx)
+
+
 def check_homogeneity(
     instance: TheoremInstance,
     i: tuple[int, ...],
@@ -163,13 +170,15 @@ def check_homogeneity(
     rasterized on the instance grid.
 
     Both tests read only the cells each mask selects (`cell_index`), so
-    product masks build no grid-sized temporary; only a failed test
-    runs the dense pass that finds its first witness cell."""
+    masks with per-axis factors build no grid-sized temporary, and a
+    failed test takes its witness, the first failing cell, from the
+    entries it read."""
     mask_Y = rasterize(instance.Y[i], instance.grid)
-    if not mask_Y.values[mask_E.cell_index()].all():
+    idx_E, idx_Y = mask_E.cell_index(), mask_Y.cell_index()
+    inside = mask_Y.values[idx_E]
+    if not inside.all():
         # E ⊂ Y(i) must hold; report the first offending cell
-        bad = np.argwhere(mask_E.values & ~mask_Y.values)[0]
-        return HomogeneityResult(-1, False, tuple(int(v) for v in bad))
+        return HomogeneityResult(-1, False, _first_failure(inside, idx_E))
     # E ⊂ Y(i), so |Y(i) ∩ E| = |E|; both measures are canonical (odd
     # mantissa), so their ratio is a power of two iff the mantissas agree
     mu_Y, mu_E = mask_Y.measure(), mask_E.measure()
@@ -177,12 +186,11 @@ def check_homogeneity(
         raise ConstructionError(f"|Y|/|Y∩E| is not a power of two at index {i}")
     k = mu_Y.exponent - mu_E.exponent
     fld = maximal_field(mask_E, [instance.R[i]])
-    threshold = DyadicRational.pow2(-k)
-    seen = fld.num[mask_Y.cell_index()]
-    if int(seen.min()) >= _count_threshold(fld.denom_exp, threshold):
+    c = _count_threshold(fld.denom_exp, DyadicRational.pow2(-k))
+    seen = fld.num[idx_Y]
+    if int(seen.min()) >= c:
         return HomogeneityResult(k, True)
-    bad = np.argwhere(mask_Y.values & ~superlevel_mask(fld, threshold))[0]
-    return HomogeneityResult(k, False, tuple(int(v) for v in bad))
+    return HomogeneityResult(k, False, _first_failure(seen >= c, idx_Y))
 
 
 @dataclass(frozen=True)
@@ -342,7 +350,7 @@ def verify_theorem(
     lvl = superlevel_mask(fld, thr)
     S = BitMask(inst.grid, lvl).measure()
     S_alt = BitMask(inst.grid, superlevel_mask(fld, thr_alt)).measure()
-    inclusion_ok = bool(not (union_Y_mask(inst) & ~lvl).any())
+    inclusion_ok = bool(lvl[union_Y_mask(inst)].all())
     runtime = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         kind="theorem",

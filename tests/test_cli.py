@@ -293,6 +293,43 @@ def test_two_outputs_to_one_file_is_usage_error(
     assert main(argv + [first, "r.out", second, "./r.out"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "same file: ./r.out" in err
+    assert not (tmp_path / "r.out").exists()
+
+
+STOPPED_VERIFY = [
+    (["--set", "1,2,4", "--out", "r.json", "--csv", "r.csv"], EXIT_NO_PROGRESSION),
+    (["--set", "0,1,2", "--budget", "1", "--out", "r.json", "--csv", "r.csv"], EXIT_BUDGET),
+    (["--set", "0,1,2", "--out", "r.json", "--csv", "./r.json"], EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("argv, code", STOPPED_VERIFY)
+def test_verify_stopped_before_writing_leaves_no_file(argv, code, tmp_path, monkeypatch):
+    # the files the writability check creates go again when the run stops
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--n", "2", "--m", "3", *argv]) == code
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, code", STOPPED_VERIFY)
+def test_verify_stopped_before_writing_keeps_an_existing_file(
+    argv, code, tmp_path, monkeypatch
+):
+    # an output that existed before the run is left as it was, not truncated
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text("kept\n")
+    assert main(["verify", "--n", "2", "--m", "3", *argv]) == code
+    assert os.listdir(tmp_path) == ["r.json"]
+    assert Path("r.json").read_text() == "kept\n"
+
+
+def test_verify_stopped_before_writing_keeps_a_dangling_link(tmp_path, monkeypatch):
+    # the check creates the link's target, so the target goes and the link stays
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").symlink_to("target.json")
+    argv = ["verify", "--n", "2", "--set", "1,2,4", "--m", "3", "--out", "r.json"]
+    assert main(argv) == EXIT_NO_PROGRESSION
+    assert os.listdir(tmp_path) == ["r.json"] and Path("r.json").is_symlink()
 
 
 class TestSweepCommand:

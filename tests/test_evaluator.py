@@ -262,9 +262,10 @@ def malformed_mask_values(draw):
 
 class TestBitMaskContract:
     """A mask is built only as BitMask(grid, values) from a bool array of
-    the grid's shape; only rasterize attaches the per-axis factors (that
-    they are read-only is checked in TestFactoredPrefixSums); masks,
-    fields and instances compare by identity."""
+    the grid's shape, and is then its own single factor; only rasterize
+    sets per-axis factors (that they are read-only is checked in
+    TestFactoredPrefixSums); masks, fields and instances compare by
+    identity."""
 
     @given(case=malformed_mask_values())
     # an int mask's field would disagree with its own popcount measure
@@ -280,18 +281,18 @@ class TestBitMaskContract:
             product_crystal(ScaleSet((1,)), ScaleSet((1,))), GridSpec((0, 0), (1, 1))
         )
         with pytest.raises(TypeError):
-            BitMask(mask.grid, mask.values, mask.axes)
+            BitMask(mask.grid, mask.values, mask.factors)
 
     def test_replaced_values_drop_the_factors(self):
         # all-True factors next to one corner cell: a mask that kept them
         # would read 1 at every cell of the unit-shape field
         grid = GridSpec((0, 0), (1, 1))
         full = rasterize(product_crystal(ScaleSet((1,)), ScaleSet((1,))), grid)
-        assert [a.tolist() for a in full.axes] == [[True, True]] * 2
+        assert [a.tolist() for a in full.factors] == [[True, True]] * 2
         corner = np.zeros(grid.shape, dtype=bool)
         corner[0, 0] = True
         replaced = dataclasses.replace(full, values=corner)
-        assert replaced.axes is None
+        assert len(replaced.factors) == 1 and replaced.factors[0] is corner
         unit = [Shape((0, 0))]
         got = maximal_field(replaced, unit)
         assert got.num.tolist() == [[1, 0], [0, 0]]
@@ -354,7 +355,7 @@ class TestFactoredPrefixSums:
     def test_against_the_dense_table(self, case):
         E, grid, rects = case
         mask = rasterize(E, grid)
-        assert mask.axes is not None
+        assert len(mask.factors) == grid.dimension
         dense = BitMask(grid, mask.values.copy())
         P = prefix_sums(mask)
         assert P.dtype == np.int64 and np.array_equal(P, prefix_sums(dense))
@@ -368,7 +369,7 @@ class TestFactoredPrefixSums:
         assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
         assert np.array_equal(fld.num, want.num)
         # the factors and their product are read-only, so none goes stale
-        for a in (mask.values, *mask.axes):
+        for a in (mask.values, *mask.factors):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = not a[(0,) * a.ndim]
 
@@ -385,8 +386,8 @@ def small_instances(draw):
 
 class TestFactoredMaskAnswers:
     """A rasterized mask answers its measure, its set cells and its
-    support box from its axis factors; its dense copy, which has none,
-    answers from the grid and is the oracle."""
+    support box from its per-axis factors; its dense copy, its own single
+    factor, answers from the grid and is the oracle."""
 
     @given(inst=small_instances())
     @settings(max_examples=60, deadline=None)
@@ -394,13 +395,17 @@ class TestFactoredMaskAnswers:
         for crystal in (inst.E, *inst.Y.values()):
             mask = rasterize(crystal, inst.grid)
             dense = BitMask(inst.grid, mask.values.copy())
-            assert mask.axes is not None and dense.axes is None
+            assert len(mask.factors) == inst.n and len(dense.factors) == 1
             count = int(np.count_nonzero(mask.values))
             assert mask.measure() == dense.measure() == DyadicRational(
                 count, inst.grid.cell_volume_exponent
             )
-            assert dense.cell_index() is dense.values
             for source in (mask, dense):
+                # the set cells in C order, which the homogeneity witness reads
+                coords = np.broadcast_arrays(*source.cell_index())
+                assert np.array_equal(
+                    np.stack([c.ravel() for c in coords], axis=1), np.argwhere(mask.values)
+                )
                 picked = np.zeros(inst.grid.shape, dtype=bool)
                 picked[source.cell_index()] = True
                 assert np.array_equal(picked, mask.values)

@@ -168,7 +168,7 @@ class TestHomogeneity:
 
 
 def dense_copy(mask):
-    """The mask's cells without its axis factors."""
+    """The mask's cells as its own single factor, without its per-axis ones."""
     return BitMask(mask.grid, mask.values.copy())
 
 
@@ -191,8 +191,9 @@ def lacking_part_of_E(inst, i):
 
 class TestHomogeneityOnProductMasks:
     """check_homogeneity reads a rasterized mask's cells through its
-    axis factors and falls back to the dense pass only for a witness;
-    the same call on dense copies is the oracle."""
+    per-axis factors and takes a witness from the entries it read; the
+    same call on dense copies, and the first failing cell of a pass over
+    the dense grid, are the oracles."""
 
     @given(inst=small_instances(), variant=st.sampled_from(["built", "one_cell_R", "Y_lacks_E"]))
     @settings(max_examples=60, deadline=None)
@@ -216,30 +217,44 @@ class TestHomogeneityOnProductMasks:
         assert got == want
         if variant == "one_cell_R":
             assert not any(r.passed for r in got)
+        # the first failing cell in C order, found on the dense grid
+        for i, r in zip(inst.indices, got):
+            if r.passed:
+                continue
+            Y = rasterize(inst.Y[i], inst.grid).values
+            if r.k == -1:
+                bad = mask_E.values & ~Y
+            else:
+                fld = maximal_field(mask_E, [inst.R[i]])
+                bad = Y & ~superlevel_mask(fld, DyadicRational.pow2(-r.k))
+            assert r.counterexample == tuple(int(v) for v in np.argwhere(bad)[0])
 
-    @pytest.mark.parametrize("which", [0, -1])
+    @pytest.mark.parametrize("which", [(0,), (-1,), (-1, 1)], ids=["0", "-1", "-1,1"])
     @pytest.mark.parametrize("dense", [False, True])
     def test_cell_below_the_threshold_is_the_witness(self, monkeypatch, which, dense):
-        # lower the first or the last cell of Y(i), in lexicographic
-        # order, below the threshold
+        # lower the first, the last, or the last and the second cell of
+        # Y(i), in lexicographic order, below the threshold: the witness
+        # is the first lowered cell in that order
         inst = build_instance(2, range(0, 6, 2))
         i = inst.indices[1]
-        cell = tuple(int(v) for v in np.argwhere(rasterize(inst.Y[i], inst.grid).values)[which])
+        Y_cells = np.argwhere(rasterize(inst.Y[i], inst.grid).values)
+        cells = [tuple(int(v) for v in Y_cells[w]) for w in which]
 
-        def one_cell_lowered(mask, shapes):
+        def cells_lowered(mask, shapes):
             fld = maximal_field(mask, shapes)
             num = fld.num.copy()
-            num[cell] = 0
+            for cell in cells:
+                num[cell] = 0
             return AverageField(fld.grid, num, fld.denom_exp)
 
-        monkeypatch.setattr(dyadicmax.verify, "maximal_field", one_cell_lowered)
+        monkeypatch.setattr(dyadicmax.verify, "maximal_field", cells_lowered)
         mask_E = rasterize(inst.E, inst.grid)
         if dense:
             densely_rasterized(monkeypatch)
             mask_E = dense_copy(mask_E)
         r = check_homogeneity(inst, i, mask_E)
         assert not r.passed and r.k == inst.m - 1
-        assert r.counterexample == cell
+        assert r.counterexample == min(cells)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_product_Y_lacking_part_of_E(self, monkeypatch, dense):
@@ -247,7 +262,7 @@ class TestHomogeneityOnProductMasks:
         i = inst.indices[0]
         Y = lacking_part_of_E(inst, i)
         mask_E, mask_Y = rasterize(inst.E, inst.grid), rasterize(Y, inst.grid)
-        assert mask_Y.axes is not None
+        assert len(mask_Y.factors) == 2
         outside = np.argwhere(mask_E.values & ~mask_Y.values)
         assert len(outside) > 1
 
