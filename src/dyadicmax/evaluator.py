@@ -17,9 +17,12 @@ numerator 2^D.
 A mask is the outer AND of its factors, bool arrays whose shapes
 concatenate to the grid's: a mask built from values is its own single
 factor, and `rasterize` sets one 1D factor per axis of the product
-crystal.  Measure, prefix table (built in the kernel's type), support
-box and set-cell index are each one formula over the factors, with no
-pass over the grid when the factors are 1D.  Only `rasterize` sets
+crystal and builds the values only when they are first read.  Measure,
+support box, set-cell index, the cells at an index (`at`) and the
+prefix tables (one per factor, in the kernel's type) are each one
+formula over the factors, and so is a shape's field on its reach: the
+outer product of its factors' fields.  With 1D factors, the field is
+the only grid-sized array the kernel builds.  Only `rasterize` sets
 factors other than the values, so they always agree with them; masks
 and fields compare by identity.
 
@@ -119,7 +122,7 @@ class GridSpec:
 @dataclass(frozen=True, eq=False)
 class BitMask:
     grid: GridSpec
-    values: np.ndarray  # bool, shape = grid.shape
+    values: np.ndarray  # bool, shape = grid.shape; see __getattr__
     # bool arrays whose outer AND is values: (values,) or per-axis cells
     factors: tuple[np.ndarray, ...] = field(init=False)
 
@@ -131,10 +134,29 @@ class BitMask:
             )
         object.__setattr__(self, "factors", (v,))
 
+    def __getattr__(self, name):
+        """A rasterized mask has no values until they are read: then they
+        are built once, read-only, as the outer AND of the factors."""
+        if name != "values":
+            raise AttributeError(f"'BitMask' object has no attribute {name!r}")
+        v = reduce(np.logical_and.outer, self.factors)
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+        return v
+
     def measure(self) -> DyadicRational:
         # the set cells of a product set: the product of its factor counts
         count = math.prod(int(np.count_nonzero(f)) for f in self.factors)
         return DyadicRational(count, self.grid.cell_volume_exponent)
+
+    def at(self, idx):
+        """values[idx] for a tuple of one index per grid axis, read factor
+        by factor, so a rasterized mask builds no values."""
+        out, ax = np.True_, 0
+        for f in self.factors:
+            out = out & f[idx[ax:ax + f.ndim]]
+            ax += f.ndim
+        return out
 
     def cell_index(self):
         """An index selecting the set cells, for arr[idx] and arr[idx] = ...:
@@ -164,26 +186,25 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
     axes = tuple(
         c.cells(r, n) for c, r, n in zip(E.factors, grid.resolution, grid.shape)
     )
-    values = reduce(lambda acc, a: acc[..., None] & a, axes[1:], axes[0])
-    for a in (values, *axes):  # so the factors cannot go stale
+    for a in axes:  # so the factors cannot go stale
         a.flags.writeable = False
-    mask = BitMask(grid, values)
+    mask = object.__new__(BitMask)  # values are built on first read
+    object.__setattr__(mask, "grid", grid)
     object.__setattr__(mask, "factors", axes)
     if mask.measure() != crystal_measure(E):
         raise ConstructionError("rasterized measure differs from the crystal measure")
     return mask
 
 
-def prefix_sums(mask: BitMask, dtype=np.int64) -> np.ndarray:
-    """Zero-padded prefix table in dtype: entry i holds the count of set
-    cells in the half-open box [0, i), modulo 2^bits for a dtype too
-    narrow to hold it.
+def prefix_sums(mask: BitMask, dtype=np.int64) -> list[np.ndarray]:
+    """One zero-padded prefix table per factor, in dtype: entry i of a
+    factor's table holds the count of its set cells in the half-open box
+    [0, i), modulo 2^bits for a dtype too narrow to hold it.
 
     The box [0, i) of a product set meets it in the product of its
-    factors' parts, so the table is the outer product of the factors'
-    tables; a product of residues mod 2^bits is the residue of the
-    product, so a narrow outer product wraps as one table would."""
-    return reduce(np.multiply.outer, [_cumulative(f, dtype) for f in mask.factors])
+    factors' parts, so the mask's table is the outer product of these;
+    it is never built."""
+    return [_cumulative(f, dtype) for f in mask.factors]
 
 
 def _cumulative(values: np.ndarray, dtype) -> np.ndarray:
@@ -231,6 +252,24 @@ def _support_box(mask: BitMask) -> list[tuple[int, int]] | None:
     return box
 
 
+def _window_maxima(S: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
+    """Per cell of the reach, the maximum of the anchor counts S whose
+    windows hold it: log2(w) doubling passes per axis (`maximal_field`
+    says why they are exact)."""
+    for ax, w in enumerate(window):
+        lead = (slice(None),) * ax
+        k = 1
+        while k < w:
+            L = S.shape[ax]
+            U = np.empty(S.shape[:ax] + (L + k,) + S.shape[ax + 1:], S.dtype)
+            U[lead + (slice(None, k),)] = S[lead + (slice(None, k),)]
+            np.maximum(S[lead + (slice(k, None),)], S[lead + (slice(None, L - k),)],
+                       out=U[lead + (slice(k, L),)])
+            U[lead + (slice(L, None),)] = S[lead + (slice(L - k, None),)]
+            S, k = U, 2 * k
+    return S
+
+
 def maximal_field(mask: BitMask, shapes) -> AverageField:
     """Per cell, the maximum rectangle average over all shapes and all
     aligned placements containing the cell.
@@ -254,6 +293,15 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     maximum, and a mask whose support fills the grid pays no zero-fill.
     An empty mask's field is all zero.
 
+    The kernel works per factor of the mask.  The cropped anchors form a
+    product of per-axis ranges, and the count at anchor p is the product
+    of its factors' counts, prod_f count_f(p_f) >= 0; so the maximum over
+    the placements containing a cell is the product of the per-factor
+    maxima, and a shape's field on its reach is the outer product of its
+    factors' fields, each taken on the factor's own axes from the
+    factor's own prefix table.  A mask built from values is one factor,
+    whose field is the shape's field.
+
     Per axis, log2(w) doubling passes turn the M = a1 - a0 + 1 anchor
     counts into the M + w - 1 cell maxima of the reach (w is a power of
     two).  Before the pass with window k the axis has length
@@ -263,13 +311,14 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     statement for 2k.
 
     With D the largest shape volume exponent in cells, every value the
-    kernel holds is at most 2^D: a window count is at most the window's
-    2^(D_s) cells, and shifting it by D - D_s to the common denominator
-    keeps it at most 2^D because an average is at most 1.  So the kernel
-    runs in, and returns its field in, dt = min_scalar_type(2^D).  The
-    prefix table is built in dt and may wrap, but the window counts stay
-    exact: inclusion-exclusion is an integer identity, so it holds modulo
-    2^bits(dt), and the true count lies in [0, 2^D], inside
+    kernel holds is at most 2^D: a factor's window count is at most its
+    window's cells, so their product is at most the shape's 2^(D_s)
+    cells, and shifting it by D - D_s to the common denominator keeps it
+    at most 2^D because an average is at most 1.  So the kernel runs in,
+    and returns its field in, dt = min_scalar_type(2^D).  The factors'
+    prefix tables are built in dt and may wrap, but the window counts
+    stay exact: inclusion-exclusion is an integer identity, so it holds
+    modulo 2^bits(dt), and the true count lies in [0, 2^D], inside
     [0, 2^bits(dt))."""
     shapes = list(shapes)
     if not shapes:
@@ -281,7 +330,11 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     box = _support_box(mask)
     if box is None:
         return AverageField(grid, np.zeros(grid.shape, dt), D)
-    P = prefix_sums(mask, dt)
+    tables = prefix_sums(mask, dt)
+    axes = []  # the grid axes of each factor
+    for f in mask.factors:
+        start = axes[-1].stop if axes else 0
+        axes.append(slice(start, start + f.ndim))
     dims = grid.shape  # a property that builds a tuple
     out = None
     for shape, window in zip(shapes, windows):
@@ -291,18 +344,11 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
             slice(max(0, lo - w + 1), min(hi, N - w) + w)
             for (lo, hi), w, N in zip(box, window, dims)
         )
-        S = _placement_counts(P[tuple(slice(r.start, r.stop + 1) for r in reach)], window)
-        for ax, w in enumerate(window):
-            lead = (slice(None),) * ax
-            k = 1
-            while k < w:
-                L = S.shape[ax]
-                U = np.empty(S.shape[:ax] + (L + k,) + S.shape[ax + 1:], dt)
-                U[lead + (slice(None, k),)] = S[lead + (slice(None, k),)]
-                np.maximum(S[lead + (slice(k, None),)], S[lead + (slice(None, L - k),)],
-                           out=U[lead + (slice(k, L),)])
-                U[lead + (slice(L, None),)] = S[lead + (slice(L - k, None),)]
-                S, k = U, 2 * k
+        crop = tuple(slice(r.start, r.stop + 1) for r in reach)
+        S = reduce(np.multiply.outer, [
+            _window_maxima(_placement_counts(P[crop[ax]], window[ax]), window[ax])
+            for P, ax in zip(tables, axes)
+        ])
         S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
         if out is None:
             if S.shape == dims:

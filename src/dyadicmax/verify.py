@@ -169,13 +169,14 @@ def check_homogeneity(
     1_E at least 2^-k, where |Y(i)| = 2^k |Y(i) ∩ E|; mask_E is E
     rasterized on the instance grid.
 
-    Both tests read only the cells each mask selects (`cell_index`), so
-    masks with per-axis factors build no grid-sized temporary, and a
-    failed test takes its witness, the first failing cell, from the
-    entries it read."""
+    Both tests read only the cells each mask selects (`cell_index`), and
+    Y(i) is read at the cells of E through its factors (`at`), so masks
+    with per-axis factors build neither their values nor a grid-sized
+    temporary, and a failed test takes its witness, the first failing
+    cell, from the entries it read."""
     mask_Y = rasterize(instance.Y[i], instance.grid)
     idx_E, idx_Y = mask_E.cell_index(), mask_Y.cell_index()
-    inside = mask_Y.values[idx_E]
+    inside = mask_Y.at(idx_E)
     if not inside.all():
         # E ⊂ Y(i) must hold; report the first offending cell
         return HomogeneityResult(-1, False, _first_failure(inside, idx_E))

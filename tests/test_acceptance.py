@@ -11,6 +11,7 @@ import pathlib
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -142,7 +143,9 @@ def test_criterion_3_evaluator_oracles():
             shape = tuple(1 << e for e in exps)
             grid = GridSpec((0,) * ndim, tuple(exps))
             mask = BitMask(grid, rng.random(shape) < pr.uniform(0.1, 0.7))
-            P = prefix_sums(mask)
+            tables = prefix_sums(mask)
+            assert [T.shape for T in tables] == [tuple(n + 1 for n in shape)]
+            P = reduce(np.multiply.outer, tables)
             # prefix table entries: entry i counts the box [0, i)
             for _ in range(10):
                 i = tuple(int(rng.integers(0, n + 1)) for n in shape)

@@ -311,13 +311,23 @@ class TestBitMaskContract:
             assert len({a, b}) == 2
 
 
+def whole_table(mask, *dtype):
+    """The mask's prefix table, the outer product of the one table per
+    factor that prefix_sums returns, each of its factor's shape plus one."""
+    tables = prefix_sums(mask, *dtype)
+    assert [P.shape for P in tables] == [
+        tuple(n + 1 for n in f.shape) for f in mask.factors
+    ]
+    return reduce(np.multiply.outer, tables)
+
+
 class TestPrefixSums:
     """The contract: entry i of the table counts the set cells in the
     half-open box [0, i)."""
 
     def test_full_box_is_popcount(self):
         mask = random_mask((8, 8))
-        P = prefix_sums(mask)
+        P = whole_table(mask)
         assert P.shape == (9, 9)
         assert P[8, 8] == int(mask.values.sum())
 
@@ -327,14 +337,14 @@ class TestPrefixSums:
         for c in [(0, 0), (3, 7), (2, 5)]:
             values = np.zeros(grid.shape, dtype=bool)
             values[c] = True
-            P = prefix_sums(BitMask(grid, values))
+            P = whole_table(BitMask(grid, values))
             for i in np.ndindex(P.shape):
                 assert P[i] == all(a > b for a, b in zip(i, c))
 
     def test_random_boxes_against_naive(self):
         for shape in [(16,), (8, 16), (4, 8, 8)]:
             mask = random_mask(shape)
-            P = prefix_sums(mask)
+            P = whole_table(mask)
             origin = (0,) * len(shape)
             for _ in range(50):
                 i = tuple(int(rng.integers(0, n + 1)) for n in shape)
@@ -346,10 +356,17 @@ class TestFactoredPrefixSums:
     tables; the dense table of the same values is the oracle."""
 
     @given(case=product_crystal_cases())
-    # 32 x 8 kept cells: the uint8 table wraps to 0 at the far corner
+    # 32 x 8 kept cells: the uint8 table of the whole grid wraps to 0 at
+    # the far corner, though neither factor's table wraps
     @example(case=(
         product_crystal(ScaleSet((1, 3)), ScaleSet((0, 2))),
         GridSpec((-3, -2), (4, 3)), [(4, 3), (1, 0)],
+    ))
+    # 512 kept cells on the first axis: that factor's own uint8 table
+    # wraps to 0 at its end, under the uint8 kernel of 8-cell windows
+    @example(case=(
+        product_crystal(ScaleSet((9,)), ScaleSet((0,))),
+        GridSpec((0, 0), (10, 1)), [(3, 0), (0, 1)],
     ))
     @settings(max_examples=80, deadline=None)
     def test_against_the_dense_table(self, case):
@@ -357,12 +374,12 @@ class TestFactoredPrefixSums:
         mask = rasterize(E, grid)
         assert len(mask.factors) == grid.dimension
         dense = BitMask(grid, mask.values.copy())
-        P = prefix_sums(mask)
-        assert P.dtype == np.int64 and np.array_equal(P, prefix_sums(dense))
+        P = whole_table(mask)
+        assert P.dtype == np.int64 and np.array_equal(P, whole_table(dense))
         for dt in (np.uint8, np.uint16, np.uint32):
             residues = P % (1 << (8 * np.dtype(dt).itemsize))
             for source in (mask, dense):
-                narrow = prefix_sums(source, dt)
+                narrow = whole_table(source, dt)
                 assert narrow.dtype == dt and np.array_equal(narrow, residues)
         shapes = [Shape(r) for r in rects]
         fld, want = maximal_field(mask, shapes), maximal_field(dense, shapes)
@@ -385,16 +402,29 @@ def small_instances(draw):
 
 
 class TestFactoredMaskAnswers:
-    """A rasterized mask answers its measure, its set cells and its
-    support box from its per-axis factors; its dense copy, its own single
+    """A rasterized mask answers its measure, its set cells, its cells at
+    an index and its support box from its per-axis factors, and builds
+    its values only when they are read; its dense copy, its own single
     factor, answers from the grid and is the oracle."""
 
     @given(inst=small_instances())
     @settings(max_examples=60, deadline=None)
     def test_against_the_dense_copy(self, inst):
-        for crystal in (inst.E, *inst.Y.values()):
-            mask = rasterize(crystal, inst.grid)
+        masks = [rasterize(c, inst.grid) for c in (inst.E, *inst.Y.values())]
+        picks = np.random.default_rng(inst.grid.ncells + len(inst.indices))
+        indices = [m.cell_index() for m in masks] + [
+            tuple(int(picks.integers(N)) for N in inst.grid.shape),
+            tuple(picks.integers(N, size=5) for N in inst.grid.shape),
+        ]
+        for mask in masks:
+            measure, box = mask.measure(), _support_box(mask)
+            got = [mask.at(idx) for idx in indices]
+            assert "values" not in vars(mask)  # all read from the factors
             dense = BitMask(inst.grid, mask.values.copy())
+            for g, idx in zip(got, indices):
+                assert np.array_equal(g, mask.values[idx])
+                assert np.array_equal(dense.at(idx), mask.values[idx])
+            assert measure == mask.measure() and box == _support_box(mask)
             assert len(mask.factors) == inst.n and len(dense.factors) == 1
             count = int(np.count_nonzero(mask.values))
             assert mask.measure() == dense.measure() == DyadicRational(
@@ -531,6 +561,26 @@ class TestMaximalField:
         # a window holds the cell and x when |x - c| < 16 on each axis
         want = np.zeros(grid.shape, dtype=np.uint16)
         want[485:516, 285:316] = 1
+        assert np.array_equal(fld.num, want)
+
+    def test_rasterized_field_is_built_only_on_the_reach(self):
+        # a one-cell product crystal on a 2^20-cell grid: the factor tables
+        # and the shape's factor fields are 1D, so the zero-filled field is
+        # the only grid-sized array; the mask's values are never built
+        grid = GridSpec((0, 0), (10, 10))
+        mask = rasterize(product_crystal(ScaleSet((0,)), ScaleSet((0,))), grid)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fld = maximal_field(mask, [Shape((4, 4))])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fld.num.dtype == np.uint16 and "values" not in vars(mask)
+        assert peak < 1.25 * grid.ncells * fld.num.itemsize
+        want = np.zeros(grid.shape, dtype=np.uint16)
+        want[:16, :16] = 1
         assert np.array_equal(fld.num, want)
 
     def test_small_window_shifted_to_the_common_denominator(self):

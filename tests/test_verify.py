@@ -129,6 +129,25 @@ class TestHomogeneity:
         assert len(results) == 6
         assert all(r.passed and r.k == 2 for r in results)
 
+    def test_passing_check_builds_only_the_field(self):
+        # the 2^18-cell grid of n=2, m=10: Y(i) is read through its
+        # factors and the prefix tables are 1D, so the R(i) field is the
+        # only grid-sized array the check builds
+        inst = build_instance(2, range(10))
+        i = inst.indices[3]
+        mask_E = rasterize(inst.E, inst.grid)
+        itemsize = maximal_field(mask_E, [inst.R[i]]).num.itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            r = check_homogeneity(inst, i, mask_E)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert r.passed and "values" not in vars(mask_E)
+        assert peak < 1.25 * inst.grid.ncells * itemsize
+
     def test_ratio_not_a_power_of_two_raises(self, monkeypatch):
         # one extra cell outside E keeps E ⊂ Y(i), but |Y(i)| is then
         # 2^k |E| plus one cell, not a power of two times |E|
