@@ -15,16 +15,14 @@ its field in, the smallest unsigned integer type that holds the common
 numerator 2^D.
 
 A mask is the outer AND of its factors, bool arrays whose shapes
-concatenate to the grid's: a mask built from values is its own single
-factor, and `rasterize` sets one 1D factor per axis of the product
-crystal and builds the values only when they are first read.  Measure,
-support box, set-cell index, the cells at an index (`at`) and the
-prefix tables (one per factor, in the kernel's type) are each one
+concatenate to the grid's: one array for an arbitrary set, or, as
+`rasterize` builds it, one 1D axis per grid axis for a product crystal.
+Measure, support box, set-cell index, the cells at an index (`at`) and
+the prefix tables (one per factor, in the kernel's type) are each one
 formula over the factors, and so is a shape's field on its reach: the
 outer product of its factors' fields.  With 1D factors, the field is
-the only grid-sized array the kernel builds.  Only `rasterize` sets
-factors other than the values, so they always agree with them; masks
-and fields compare by identity.
+the only grid-sized array the kernel builds; a mask's values are built
+only when they are read.  Masks and fields compare by identity.
 
 A field that is an outer product of lower-dimensional fields, such as
 the unit cube's family field (the n-fold product of one 1D field), is
@@ -40,8 +38,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import index
 
 import numpy as np
@@ -122,26 +120,27 @@ class GridSpec:
 @dataclass(frozen=True, eq=False)
 class BitMask:
     grid: GridSpec
-    values: np.ndarray  # bool, shape = grid.shape; see __getattr__
-    # bool arrays whose outer AND is values: (values,) or per-axis cells
-    factors: tuple[np.ndarray, ...] = field(init=False)
+    # bool arrays of at least one axis whose shapes concatenate to
+    # grid.shape: (values,) or one 1D axis per grid axis
+    factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        v = self.values
-        if not isinstance(v, np.ndarray) or v.dtype != bool or v.shape != self.grid.shape:
+        fs = self.factors
+        ok = isinstance(fs, tuple) and fs and all(
+            isinstance(f, np.ndarray) and f.dtype == bool and f.ndim for f in fs
+        )
+        if not ok or sum((f.shape for f in fs), ()) != self.grid.shape:
             raise ParameterError(
-                f"mask values must be a bool ndarray of shape {self.grid.shape}"
+                "mask factors must be a nonempty tuple of bool ndarrays whose "
+                f"shapes concatenate to {self.grid.shape}"
             )
-        object.__setattr__(self, "factors", (v,))
 
-    def __getattr__(self, name):
-        """A rasterized mask has no values until they are read: then they
-        are built once, read-only, as the outer AND of the factors."""
-        if name != "values":
-            raise AttributeError(f"'BitMask' object has no attribute {name!r}")
-        v = reduce(np.logical_and.outer, self.factors)
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The outer AND of the factors, built on first read, as a read-only
+        view; of several factors it is a copy, which later writes miss."""
+        v = reduce(np.logical_and.outer, self.factors).view()
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
         return v
 
     def measure(self) -> DyadicRational:
@@ -188,9 +187,7 @@ def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
     )
     for a in axes:  # so the factors cannot go stale
         a.flags.writeable = False
-    mask = object.__new__(BitMask)  # values are built on first read
-    object.__setattr__(mask, "grid", grid)
-    object.__setattr__(mask, "factors", axes)
+    mask = BitMask(grid, axes)
     if mask.measure() != crystal_measure(E):
         raise ConstructionError("rasterized measure differs from the crystal measure")
     return mask
@@ -299,8 +296,8 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     the placements containing a cell is the product of the per-factor
     maxima, and a shape's field on its reach is the outer product of its
     factors' fields, each taken on the factor's own axes from the
-    factor's own prefix table.  A mask built from values is one factor,
-    whose field is the shape's field.
+    factor's own prefix table.  A mask of one factor runs the same code:
+    its one field is the shape's field.
 
     Per axis, log2(w) doubling passes turn the M = a1 - a0 + 1 anchor
     counts into the M + w - 1 cell maxima of the reach (w is a power of

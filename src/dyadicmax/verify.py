@@ -212,7 +212,7 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
         diff.as_fraction() / s.volume().as_fraction()
         for diff, s in zip(au.differences, shapes)
     )
-    union_Y = BitMask(instance.grid, union_Y_mask(instance)).measure()
+    union_Y = BitMask(instance.grid, (union_Y_mask(instance),)).measure()
     sum_Y = sum(
         (crystal_measure(instance.Y[i]) for i in instance.indices),
         DyadicRational(0, 0),
@@ -349,8 +349,8 @@ def verify_theorem(
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)
     lvl = superlevel_mask(fld, thr)
-    S = BitMask(inst.grid, lvl).measure()
-    S_alt = BitMask(inst.grid, superlevel_mask(fld, thr_alt)).measure()
+    S = BitMask(inst.grid, (lvl,)).measure()
+    S_alt = BitMask(inst.grid, (superlevel_mask(fld, thr_alt),)).measure()
     inclusion_ok = bool(lvl[union_Y_mask(inst)].all())
     runtime = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(

@@ -142,7 +142,7 @@ def test_criterion_3_evaluator_oracles():
                 total += e
             shape = tuple(1 << e for e in exps)
             grid = GridSpec((0,) * ndim, tuple(exps))
-            mask = BitMask(grid, rng.random(shape) < pr.uniform(0.1, 0.7))
+            mask = BitMask(grid, (rng.random(shape) < pr.uniform(0.1, 0.7),))
             tables = prefix_sums(mask)
             assert [T.shape for T in tables] == [tuple(n + 1 for n in shape)]
             P = reduce(np.multiply.outer, tables)

@@ -43,7 +43,7 @@ def random_mask(shape, res=None):
         r + n.bit_length() - 1 for r, n in zip(res or (0,) * len(shape), shape)
     ))
     assert grid.shape == tuple(shape)
-    return BitMask(grid, rng.random(shape) < 0.4)
+    return BitMask(grid, (rng.random(shape) < 0.4,))
 
 
 def _fixed_case(shape, rects):
@@ -51,7 +51,7 @@ def _fixed_case(shape, rects):
     the case does not draw from the shared one."""
     grid = GridSpec((0,) * len(shape), tuple(n.bit_length() - 1 for n in shape))
     values = np.random.default_rng(sum(shape)).random(shape) < 0.4
-    return BitMask(grid, values), rects
+    return BitMask(grid, (values,)), rects
 
 
 def _cells_case(shape, cells, rects):
@@ -60,7 +60,7 @@ def _cells_case(shape, cells, rects):
     values = np.zeros(shape, dtype=bool)
     for c in cells:
         values[c] = True
-    return BitMask(grid, values), rects
+    return BitMask(grid, (values,)), rects
 
 
 @st.composite
@@ -99,7 +99,7 @@ def brute_force_cases(draw):
         for r, k in zip(res, ks)
     ]
     rects = draw(st.lists(st.tuples(*exponent), min_size=1, max_size=3))
-    return BitMask(grid, values), rects
+    return BitMask(grid, (values,)), rects
 
 
 @st.composite
@@ -113,7 +113,7 @@ def product_field_cases(draw):
         spare -= k
         r = draw(st.integers(-2, 2))
         bits = draw(st.lists(st.booleans(), min_size=1 << k, max_size=1 << k))
-        masks.append(BitMask(GridSpec((r,), (r + k,)), np.array(bits, dtype=bool)))
+        masks.append(BitMask(GridSpec((r,), (r + k,)), (np.array(bits, dtype=bool),)))
         exps.append(draw(st.lists(st.integers(r, r + k), min_size=1, max_size=3)))
     return masks, exps
 
@@ -242,46 +242,55 @@ class TestRasterize:
 
 @st.composite
 def malformed_mask_values(draw):
-    """A grid of at most 64 cells and values that are not a bool array of
-    its shape: a non-bool dtype of the grid's shape, a bool array of
-    another shape, or the right bools as a nested list."""
+    """A grid of at most 64 cells and factors that are not a nonempty
+    tuple of bool arrays of at least one axis whose shapes concatenate
+    to the grid's: a non-bool dtype of the grid's shape, one to three
+    bool arrays of other shapes (the right cell count split the wrong
+    way included), the right bools as a nested list, an empty tuple, or
+    a bare array of the right bools, the old call form."""
     ks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
     grid = GridSpec((0,) * len(ks), tuple(ks))
-    kind = draw(st.sampled_from(["dtype", "shape", "list"]))
+    kind = draw(st.sampled_from(["dtype", "shape", "list", "empty", "bare"]))
     if kind == "dtype":
         dtype = draw(st.one_of(
             hnp.integer_dtypes(), hnp.unsigned_integer_dtypes(),
             hnp.floating_dtypes(), st.just(np.dtype(object)),
         ))
-        return grid, draw(hnp.arrays(dtype, grid.shape, elements=st.integers(0, 1)))
+        return grid, (draw(hnp.arrays(dtype, grid.shape, elements=st.integers(0, 1))),)
     if kind == "shape":
-        shapes = hnp.array_shapes(min_dims=0, max_dims=4, max_side=4)
-        return grid, np.ones(draw(shapes.filter(lambda s: s != grid.shape)), dtype=bool)
-    return grid, np.ones(grid.shape, dtype=bool).tolist()
+        shapes = st.lists(hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+                          min_size=1, max_size=3)
+        shapes = shapes.filter(lambda ss: sum(ss, ()) != grid.shape or () in ss)
+        return grid, tuple(np.ones(s, dtype=bool) for s in draw(shapes))
+    if kind == "list":
+        return grid, (np.ones(grid.shape, dtype=bool).tolist(),)
+    if kind == "empty":
+        return grid, ()
+    return grid, np.ones(grid.shape, dtype=bool)
 
 
 class TestBitMaskContract:
-    """A mask is built only as BitMask(grid, values) from a bool array of
-    the grid's shape, and is then its own single factor; only rasterize
-    sets per-axis factors (that they are read-only is checked in
-    TestFactoredPrefixSums); masks, fields and instances compare by
-    identity."""
+    """A mask is built only as BitMask(grid, factors), from a tuple of
+    bool arrays whose shapes concatenate to the grid's; its values, the
+    outer AND of the factors, are a read-only property built on first
+    read, so no walk over the fields builds them (that rasterize's
+    factors are read-only is checked in TestFactoredPrefixSums); masks,
+    fields and instances compare by identity."""
 
     @given(case=malformed_mask_values())
     # an int mask's field would disagree with its own popcount measure
-    @example(case=(GridSpec((0,), (2,)), np.array([1, 0, 2, 0])))
+    @example(case=(GridSpec((0,), (2,)), (np.array([1, 0, 2, 0]),)))
+    # the right cell count split the wrong way, and the right shapes with
+    # a 0-d factor, which has no axis to read a support box from
+    @example(case=(GridSpec((0, 0), (1, 2)), (np.ones(4, bool), np.ones(2, bool))))
+    @example(case=(GridSpec((0,), (1,)), (np.ones(2, bool), np.array(True))))
+    # a bare 2 x 2 array: iterated, its rows would pass as two 1D factors
+    @example(case=(GridSpec((0, 0), (1, 1)), np.ones((2, 2), bool)))
     @settings(max_examples=80, deadline=None)
     def test_malformed_values_raise(self, case):
-        grid, values = case
+        grid, factors = case
         with pytest.raises(ParameterError, match="bool ndarray"):
-            BitMask(grid, values)
-
-    def test_factors_cannot_be_passed(self):
-        mask = rasterize(
-            product_crystal(ScaleSet((1,)), ScaleSet((1,))), GridSpec((0, 0), (1, 1))
-        )
-        with pytest.raises(TypeError):
-            BitMask(mask.grid, mask.values, mask.factors)
+            BitMask(grid, factors)
 
     def test_replaced_values_drop_the_factors(self):
         # all-True factors next to one corner cell: a mask that kept them
@@ -291,17 +300,40 @@ class TestBitMaskContract:
         assert [a.tolist() for a in full.factors] == [[True, True]] * 2
         corner = np.zeros(grid.shape, dtype=bool)
         corner[0, 0] = True
-        replaced = dataclasses.replace(full, values=corner)
+        replaced = dataclasses.replace(full, factors=(corner,))
         assert len(replaced.factors) == 1 and replaced.factors[0] is corner
+        # one factor's values are a read-only view of it
+        assert not replaced.values.flags.writeable
+        assert np.shares_memory(replaced.values, corner)
         unit = [Shape((0, 0))]
         got = maximal_field(replaced, unit)
         assert got.num.tolist() == [[1, 0], [0, 0]]
-        assert np.array_equal(got.num, maximal_field(BitMask(grid, corner), unit).num)
+        assert np.array_equal(got.num, maximal_field(BitMask(grid, (corner,)), unit).num)
+
+    def test_repr_and_replace_keep_the_factors(self):
+        # the 2^22-cell n = 2, m = 12 grid: values built by a walk over
+        # the fields would take 4 MB
+        inst = build_instance(2, range(12))
+        mask = rasterize(inst.Y[inst.indices[-1]], inst.grid)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            text = repr(mask)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert text.startswith("BitMask(grid=GridSpec(")
+        assert peak < inst.grid.ncells / 16 and "values" not in vars(mask)
+        replaced = dataclasses.replace(mask, grid=mask.grid)
+        assert len(replaced.factors) == 2
+        assert all(a is b and a.ndim == 1 for a, b in zip(replaced.factors, mask.factors))
+        assert "values" not in vars(mask) and "values" not in vars(replaced)
 
     def test_equality_and_hash_are_identity(self):
         grid = GridSpec((0,), (2,))
         values = np.ones(grid.shape, dtype=bool)
-        mask, twin = BitMask(grid, values), BitMask(grid, values.copy())
+        mask, twin = BitMask(grid, (values,)), BitMask(grid, (values.copy(),))
         fld = maximal_field(mask, [Shape((1,))])
         fld_twin = maximal_field(twin, [Shape((1,))])
         inst, inst_twin = build_instance(2, range(3)), build_instance(2, range(3))
@@ -337,7 +369,7 @@ class TestPrefixSums:
         for c in [(0, 0), (3, 7), (2, 5)]:
             values = np.zeros(grid.shape, dtype=bool)
             values[c] = True
-            P = whole_table(BitMask(grid, values))
+            P = whole_table(BitMask(grid, (values,)))
             for i in np.ndindex(P.shape):
                 assert P[i] == all(a > b for a, b in zip(i, c))
 
@@ -373,7 +405,7 @@ class TestFactoredPrefixSums:
         E, grid, rects = case
         mask = rasterize(E, grid)
         assert len(mask.factors) == grid.dimension
-        dense = BitMask(grid, mask.values.copy())
+        dense = BitMask(grid, (mask.values.copy(),))
         P = whole_table(mask)
         assert P.dtype == np.int64 and np.array_equal(P, whole_table(dense))
         for dt in (np.uint8, np.uint16, np.uint32):
@@ -401,34 +433,66 @@ def small_instances(draw):
     return build_instance(n, range(u0, u0 + m * d, d))
 
 
+@st.composite
+def factored_masks(draw):
+    """Masks of several factors on one grid, and one to three compatible
+    shapes: the rasterized E and Y(i) of a small theorem instance, one
+    1D factor per axis; or a "mixed" mask of random cells, whose two or
+    three factors have one or two axes each and lay out a grid of two or
+    three axes and at most 1024 cells.  Also the factors' ndims."""
+    if draw(st.sampled_from(["rasterized", "mixed"])) == "rasterized":
+        inst = draw(small_instances())
+        grid, ndims = inst.grid, (1,) * inst.n
+        masks = [rasterize(c, grid) for c in (inst.E, *inst.Y.values())]
+    else:
+        ndims = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 1, 1)]))
+        ks, spare = [], 10
+        for _ in range(sum(ndims)):
+            ks.append(draw(st.integers(0, min(4, spare))))
+            spare -= ks[-1]
+        res = tuple(draw(st.integers(-2, 2)) for _ in ks)
+        grid = GridSpec(res, tuple(r + k for r, k in zip(res, ks)))
+        factors, ax = [], 0
+        for d in ndims:
+            factors.append(draw(hnp.arrays(bool, grid.shape[ax:ax + d])))
+            ax += d
+        masks = [BitMask(grid, tuple(factors))]
+    exponent = [st.integers(r, L) for r, L in zip(grid.resolution, grid.extent)]
+    rects = draw(st.lists(st.tuples(*exponent), min_size=1, max_size=3))
+    return grid, masks, [Shape(r) for r in rects], ndims
+
+
 class TestFactoredMaskAnswers:
-    """A rasterized mask answers its measure, its set cells, its cells at
-    an index and its support box from its per-axis factors, and builds
-    its values only when they are read; its dense copy, its own single
+    """A mask of several factors, rasterized or mixed, answers its
+    measure, its set cells, its cells at an index, its support box, its
+    prefix table and its maximal field from its factors, and builds its
+    values only when they are read; its dense copy, its own single
     factor, answers from the grid and is the oracle."""
 
-    @given(inst=small_instances())
+    @given(case=factored_masks())
     @settings(max_examples=60, deadline=None)
-    def test_against_the_dense_copy(self, inst):
-        masks = [rasterize(c, inst.grid) for c in (inst.E, *inst.Y.values())]
-        picks = np.random.default_rng(inst.grid.ncells + len(inst.indices))
+    def test_against_the_dense_copy(self, case):
+        grid, masks, shapes, ndims = case
+        picks = np.random.default_rng(grid.ncells + len(masks))
         indices = [m.cell_index() for m in masks] + [
-            tuple(int(picks.integers(N)) for N in inst.grid.shape),
-            tuple(picks.integers(N, size=5) for N in inst.grid.shape),
+            tuple(int(picks.integers(N)) for N in grid.shape),
+            tuple(picks.integers(N, size=5) for N in grid.shape),
         ]
         for mask in masks:
             measure, box = mask.measure(), _support_box(mask)
             got = [mask.at(idx) for idx in indices]
+            table, fld = whole_table(mask), maximal_field(mask, shapes)
             assert "values" not in vars(mask)  # all read from the factors
-            dense = BitMask(inst.grid, mask.values.copy())
+            dense = BitMask(grid, (mask.values.copy(),))
             for g, idx in zip(got, indices):
                 assert np.array_equal(g, mask.values[idx])
                 assert np.array_equal(dense.at(idx), mask.values[idx])
             assert measure == mask.measure() and box == _support_box(mask)
-            assert len(mask.factors) == inst.n and len(dense.factors) == 1
+            assert tuple(f.ndim for f in mask.factors) == ndims
+            assert len(dense.factors) == 1
             count = int(np.count_nonzero(mask.values))
             assert mask.measure() == dense.measure() == DyadicRational(
-                count, inst.grid.cell_volume_exponent
+                count, grid.cell_volume_exponent
             )
             for source in (mask, dense):
                 # the set cells in C order, which the homogeneity witness reads
@@ -436,11 +500,15 @@ class TestFactoredMaskAnswers:
                 assert np.array_equal(
                     np.stack([c.ravel() for c in coords], axis=1), np.argwhere(mask.values)
                 )
-                picked = np.zeros(inst.grid.shape, dtype=bool)
+                picked = np.zeros(grid.shape, dtype=bool)
                 picked[source.cell_index()] = True
                 assert np.array_equal(picked, mask.values)
                 assert mask.values[source.cell_index()].size == count
             assert _support_box(mask) == _support_box(dense)
+            assert np.array_equal(table, whole_table(dense))
+            want = maximal_field(dense, shapes)
+            assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
+            assert np.array_equal(fld.num, want.num)
 
 
 def assert_field_matches_naive(mask, rects):
@@ -511,7 +579,7 @@ class TestMaximalField:
         # 2^(D+1) set cells wrap the narrow prefix table to zero
         a = D // 2
         grid = GridSpec((0, 0), (a + 1, D - a))
-        full = BitMask(grid, np.ones(grid.shape, bool))
+        full = BitMask(grid, (np.ones(grid.shape, bool),))
         fld = maximal_field(full, [Shape((a, D - a))])
         assert fld.num.dtype == np.min_scalar_type(1 << D) and fld.denom_exp == D
         assert fld.num.max() <= 1 << D
@@ -547,7 +615,7 @@ class TestMaximalField:
         grid = GridSpec((0, 0), (10, 10))
         values = np.zeros(grid.shape, dtype=bool)
         values[500, 300] = True
-        mask = BitMask(grid, values)
+        mask = BitMask(grid, (values,))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -587,7 +655,7 @@ class TestMaximalField:
         # a full 2-cell window next to the 128-cell one: its count 2 is
         # shifted by 6 to exactly 2^D = 128, the top of the uint8 kernel
         mask, rects = _fixed_case((8, 16), [(3, 4), (0, 1), (0, 0)])
-        mask.values[0, :2] = True
+        mask.factors[0][0, :2] = True
         fld = assert_field_matches_naive(mask, rects)
         assert fld.denom_exp == 7 and fld.num[0, 0] == 1 << 7
 
@@ -596,13 +664,13 @@ class TestSuperlevel:
     def test_threshold_zero_is_full_box(self):
         mask = random_mask((8, 8))
         fld = maximal_field(mask, [Shape((1, 1))])
-        full = BitMask(mask.grid, superlevel_mask(fld, DyadicRational(0, 0)))
+        full = BitMask(mask.grid, (superlevel_mask(fld, DyadicRational(0, 0)),))
         assert full.measure() == DyadicRational(64, 0)
 
     def test_threshold_above_one_is_empty(self):
         mask = random_mask((8, 8))
         fld = maximal_field(mask, [Shape((1, 1))])
-        empty = BitMask(mask.grid, superlevel_mask(fld, DyadicRational(3, -1)))
+        empty = BitMask(mask.grid, (superlevel_mask(fld, DyadicRational(3, -1)),))
         assert empty.measure() == DyadicRational(0, 0)
 
     @pytest.mark.parametrize("rect, dtype", [((1, 2), np.uint8), ((3, 5), np.uint16)])
@@ -643,7 +711,7 @@ class TestSuperlevel:
         E = product_crystal(ScaleSet((0,)), ScaleSet((0,)))
         mask = rasterize(E, GridSpec((0, 0), (2, 2)))
         fld = maximal_field(mask, [Shape((2, 0)), Shape((0, 2))])
-        got = BitMask(mask.grid, superlevel_mask(fld, DyadicRational(1, -2))).measure()
+        got = BitMask(mask.grid, (superlevel_mask(fld, DyadicRational(1, -2)),)).measure()
         # frozen from the brute-force oracle
         want = naive_maximal(mask.values, [(4, 1), (1, 4)])
         count = sum(
@@ -663,7 +731,7 @@ class TestProductSuperlevel:
     # three full 16-cell axes: each uint8 factor is 2^4, and their product
     # 2^12 wraps to 0 unless the oracle multiplies in Python ints
     @example(
-        case=([BitMask(GridSpec((0,), (4,)), np.ones(16, dtype=bool))] * 3, [[4]] * 3),
+        case=([BitMask(GridSpec((0,), (4,)), (np.ones(16, dtype=bool),))] * 3, [[4]] * 3),
         kind="one", j=0, e=0,
     )
     @settings(max_examples=80, deadline=None)
@@ -695,7 +763,7 @@ class TestProductSuperlevel:
         )
         values = reduce(np.logical_and.outer, [mask.values for mask in masks])
         dense = maximal_field(
-            BitMask(grid, values), [Shape(s) for s in iproduct(*exps)]
+            BitMask(grid, (values,)), [Shape(s) for s in iproduct(*exps)]
         )
         assert dense.denom_exp == D and np.array_equal(dense.num, num)
 

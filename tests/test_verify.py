@@ -160,7 +160,7 @@ class TestHomogeneity:
             if Y is inst.Y[i]:
                 values = mask.values.copy()
                 values.flat[np.flatnonzero(~values)[0]] = True
-                mask = BitMask(grid, values)
+                mask = BitMask(grid, (values,))
             return mask
 
         monkeypatch.setattr(dyadicmax.verify, "rasterize", one_extra_cell)
@@ -178,7 +178,7 @@ class TestHomogeneity:
             mask = rasterize(Y, grid)
             values = mask.values.copy()
             values[tuple(last)] = False
-            return BitMask(grid, values)
+            return BitMask(grid, (values,))
 
         monkeypatch.setattr(dyadicmax.verify, "rasterize", one_cell_missing)
         r = check_homogeneity(inst, i, mask_E)
@@ -188,7 +188,7 @@ class TestHomogeneity:
 
 def dense_copy(mask):
     """The mask's cells as its own single factor, without its per-axis ones."""
-    return BitMask(mask.grid, mask.values.copy())
+    return BitMask(mask.grid, (mask.values.copy(),))
 
 
 def densely_rasterized(monkeypatch):
@@ -421,7 +421,7 @@ class TestCubeCounterexample:
         big = maximal_field(mask, shapes)
         thr = DyadicRational.pow2(-m)
         S_small, S_big = (
-            BitMask(grid, superlevel_mask(f, thr)).measure() for f in (small, big)
+            BitMask(grid, (superlevel_mask(f, thr),)).measure() for f in (small, big)
         )
         assert S_small <= S_big
 
@@ -461,7 +461,7 @@ class TestCubeCounterexample:
         fld = maximal_field(mask, shapes)
         rep = cube_counterexample(n, m)
         lvl = superlevel_mask(fld, DyadicRational.pow2(-m))
-        assert rep.superlevel == BitMask(grid, lvl).measure()
+        assert rep.superlevel == BitMask(grid, (lvl,)).measure()
         assert rep.measure_E == mask.measure()
         assert rep.index_count == rep.shapes_used == len(shapes)
 
