@@ -14,7 +14,6 @@ the evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import index
 
 import numpy as np
@@ -52,27 +51,32 @@ class ScaleSet:
 class Crystal1D:
     scales: ScaleSet
 
+    @property
+    def measure_exponent(self) -> int:
+        """The halving law: the measure is 2^(max - (m-1))."""
+        return self.scales.max - (len(self.scales) - 1)
+
     def measure(self) -> DyadicRational:
-        """The halving law: 2^(max - (m-1))."""
-        return DyadicRational.pow2(self.scales.max - (len(self.scales) - 1))
+        return DyadicRational.pow2(self.measure_exponent)
 
     def cells(self, resolution: int, ncells: int) -> np.ndarray:
         """Boolean axis of ``ncells`` cells of size 2^resolution from 0:
         the interval [0, 2^max), then the upper half of every 2^(a+1)
         period dropped for each finer scale a."""
-        A, r = self.scales, resolution
-        if r > A.min:
+        *finer, top = scales = self.scales.scales
+        r = resolution
+        if r > scales[0]:
             raise ParameterError(
-                f"grid resolution {r} coarser than crystal scale {A.min}"
+                f"grid resolution {r} coarser than crystal scale {scales[0]}"
             )
-        if ncells < 1 << (A.max - r):
+        if ncells < 1 << (top - r):
             raise ParameterError(
-                f"{ncells} cells of size 2^{r} do not reach crystal extent 2^{A.max}"
+                f"{ncells} cells of size 2^{r} do not reach crystal extent 2^{top}"
             )
         cells = np.zeros(ncells, dtype=bool)
-        head = cells[: 1 << (A.max - r)]  # a view: writes land in cells
+        head = cells[: 1 << (top - r)]  # a view: writes land in cells
         head[:] = True
-        for a in A.scales[:-1]:
+        for a in finer:
             head.reshape(-1, 2, 1 << (a - r))[:, 1] = False
         return cells
 
@@ -121,10 +125,9 @@ def product_crystal(*scale_sets: ScaleSet) -> CrystalND:
 
 
 def crystal_measure(Y: CrystalND) -> DyadicRational:
-    """Product of the exact factor measures 2^(a_max - (m-1))."""
-    return reduce(
-        lambda acc, c: acc * c.measure(), Y.factors, DyadicRational(1, 0)
-    )
+    """Product of the exact factor measures 2^(a_max - (m-1)): the power
+    of two whose exponent is the sum of theirs."""
+    return DyadicRational.pow2(sum(c.measure_exponent for c in Y.factors))
 
 
 def primitive_rectangle(Y: CrystalND) -> Shape:

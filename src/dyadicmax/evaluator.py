@@ -7,27 +7,31 @@ ones can be skipped), taken one axis at a time by doubling passes over
 the dyadic windows, and the maximal field is the maximum of its shape
 fields.  A shape's field is zero outside its reach, the cells of the
 placements that meet the mask's support box, so it is computed only
-there and maxed into a zero-initialized field; only a shape whose
-reach is the whole grid can become the field itself.  Every value is
-an integer numerator over a power-of-two denominator, so all
-comparisons and measures are exact.  The kernel works in, and returns
-its field in, the smallest unsigned integer type that holds the common
-numerator 2^D.
+there.  Every value is an integer numerator over a power-of-two
+denominator, so all comparisons and measures are exact.  The kernel
+works in, and returns its field in, the smallest unsigned integer type
+that holds the common numerator 2^D.
 
 A mask is the outer AND of its factors, bool arrays whose shapes
 concatenate to the grid's: one array for an arbitrary set, or, as
 `rasterize` builds it, one 1D axis per grid axis for a product crystal.
-Measure, support box, set-cell index, the cells at an index (`at`) and
-the prefix tables (one per factor, in the kernel's type) are each one
-formula over the factors, and so is a shape's field on its reach: the
-outer product of its factors' fields.  With 1D factors, the field is
-the only grid-sized array the kernel builds; a mask's values are built
-only when they are read.  Masks and fields compare by identity.
+Measure, support box and the prefix tables (one per factor, in the
+kernel's type) are each one formula over the factors, and so is a
+shape's field: the outer product of its factors' fields.  A field
+(`AverageField`) is held the same way, as the maximum over terms of the
+outer product of each term's factors.  On a mask of one factor the
+shapes fold into one running maximum, a dense field of one term; on a
+mask of several factors each shape is a term of its own, each factor
+zero outside the shape's reach, so with 1D factors the kernel builds no
+grid-sized array.  A field's dense `num` and a mask's `values` are
+built only when they are read.  Masks and fields compare by identity.
 
-A field that is an outer product of lower-dimensional fields, such as
-the unit cube's family field (the n-fold product of one 1D field), is
-never built: `product_superlevel_measure` counts its superlevel set over
-the value classes of the factors.
+Such fields are counted over value classes instead of cells: the cells
+of one axis that every factor row on it holds alike form a class
+(`value_classes`), and a maximum of outer products is one value per
+tuple of classes.  `product_superlevel_measure` does so for the unit
+cube's family field, the n-fold product of one 1D field, and
+`dyadicmax.verify` for the theorem's fields and the Y(i).
 
 Only cell-aligned translates are enumerated and cells outside the
 bounding box count as zero, so every superlevel measure reported here
@@ -93,7 +97,7 @@ class GridSpec:
     def dimension(self) -> int:
         return len(self.resolution)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(1 << (L - r) for r, L in zip(self.resolution, self.extent))
 
@@ -148,33 +152,39 @@ class BitMask:
         count = math.prod(int(np.count_nonzero(f)) for f in self.factors)
         return DyadicRational(count, self.grid.cell_volume_exponent)
 
-    def at(self, idx):
-        """values[idx] for a tuple of one index per grid axis, read factor
-        by factor, so a rasterized mask builds no values."""
-        out, ax = np.True_, 0
-        for f in self.factors:
-            out = out & f[idx[ax:ax + f.ndim]]
-            ax += f.ndim
-        return out
-
-    def cell_index(self):
-        """An index selecting the set cells, for arr[idx] and arr[idx] = ...:
-        each factor's set-cell coordinates laid along its own result axis
-        (np.ix_'s open mesh for per-axis factors, so no grid-sized
-        temporary), so arr[idx] follows the cells' C order."""
-        F = len(self.factors)
-        return tuple(c.reshape((1,) * j + (-1,) + (1,) * (F - 1 - j))
-                     for j, f in enumerate(self.factors) for c in f.nonzero())
-
 
 @dataclass(frozen=True, eq=False)
 class AverageField:
     """Per-cell exact averages num * 2^(-denom_exp) on the grid, so
-    0 <= num <= 2^denom_exp, stored in min_scalar_type(2^denom_exp)."""
+    0 <= num <= 2^denom_exp, in min_scalar_type(2^denom_exp).
+
+    The field is the maximum over its terms of the outer product of each
+    term's factors, arrays whose shapes concatenate to grid.shape:
+    ((num,),) for a dense field, or one 1D array per grid axis for each
+    shape of a rasterized mask."""
 
     grid: GridSpec
-    num: np.ndarray  # unsigned: uint8 up to denom_exp 7, uint16 up to 15
+    terms: tuple[tuple[np.ndarray, ...], ...]
     denom_exp: int
+
+    def __post_init__(self):
+        ts = self.terms
+        ok = isinstance(ts, tuple) and ts and all(
+            isinstance(t, tuple) and all(isinstance(f, np.ndarray) for f in t)
+            and sum((f.shape for f in t), ()) == self.grid.shape
+            for t in ts
+        )
+        if not ok:
+            raise ParameterError(
+                "field terms must be a nonempty tuple of tuples of ndarrays whose "
+                f"shapes concatenate to {self.grid.shape}"
+            )
+
+    @cached_property
+    def num(self) -> np.ndarray:
+        """The dense field, built on first read: a dense field's one factor
+        itself, else the maximum of the terms' outer products."""
+        return reduce(np.maximum, (reduce(np.multiply.outer, t) for t in self.terms))
 
 
 def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
@@ -284,10 +294,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     Each cell of the shape's reach, the product of [a0, a1 + w), lies in
     the window of a cropped anchor, so its maximum is taken over every
     anchor that can count; a cell outside the reach sees only zero-count
-    placements.  So each shape's field is computed on its reach and
-    maxed into a zero-filled field, unless the reach is the whole grid
-    and no field exists yet: then the shape's array is the running
-    maximum, and a mask whose support fills the grid pays no zero-fill.
+    placements.  So each shape's field is computed on its reach only.
     An empty mask's field is all zero.
 
     The kernel works per factor of the mask.  The cropped anchors form a
@@ -296,8 +303,13 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     the placements containing a cell is the product of the per-factor
     maxima, and a shape's field on its reach is the outer product of its
     factors' fields, each taken on the factor's own axes from the
-    factor's own prefix table.  A mask of one factor runs the same code:
-    its one field is the shape's field.
+    factor's own prefix table.  On a mask of several factors, each shape
+    is one term of the returned field: its factors' fields, each padded
+    with zeros outside the reach.  On a mask of one factor, the shapes
+    fold into one dense field: each shape's field is maxed into a
+    zero-filled field on its reach, except that a first shape whose
+    reach is the whole grid is the running maximum itself, so a mask
+    whose support fills the grid pays no zero-fill.
 
     Per axis, log2(w) doubling passes turn the M = a1 - a0 + 1 anchor
     counts into the M + w - 1 cell maxima of the reach (w is a power of
@@ -311,7 +323,10 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     kernel holds is at most 2^D: a factor's window count is at most its
     window's cells, so their product is at most the shape's 2^(D_s)
     cells, and shifting it by D - D_s to the common denominator keeps it
-    at most 2^D because an average is at most 1.  So the kernel runs in,
+    at most 2^D because an average is at most 1.  The shift is folded
+    into the first factor, whose count is at most 2^(e_1) cells with
+    e_1 <= D_s, so the shifted factor stays at most 2^D too, and so
+    does every product of term factors.  So the kernel runs in,
     and returns its field in, dt = min_scalar_type(2^D).  The factors'
     prefix tables are built in dt and may wrap, but the window counts
     stay exact: inclusion-exclusion is an integer identity, so it holds
@@ -326,14 +341,15 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     dt = np.min_scalar_type(1 << D)
     box = _support_box(mask)
     if box is None:
-        return AverageField(grid, np.zeros(grid.shape, dt), D)
+        zero = tuple(np.zeros(f.shape, dt) for f in mask.factors)
+        return AverageField(grid, (zero,), D)
     tables = prefix_sums(mask, dt)
     axes = []  # the grid axes of each factor
     for f in mask.factors:
         start = axes[-1].stop if axes else 0
         axes.append(slice(start, start + f.ndim))
-    dims = grid.shape  # a property that builds a tuple
-    out = None
+    dims = grid.shape
+    terms = []
     for shape, window in zip(shapes, windows):
         # per axis the reach [a0, a1 + w) of the anchors [a0, a1] whose
         # windows meet the support box; their counts need P[a0 : a1 + w + 1]
@@ -342,19 +358,24 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
             for (lo, hi), w, N in zip(box, window, dims)
         )
         crop = tuple(slice(r.start, r.stop + 1) for r in reach)
-        S = reduce(np.multiply.outer, [
+        parts = [
             _window_maxima(_placement_counts(P[crop[ax]], window[ax]), window[ax])
             for P, ax in zip(tables, axes)
-        ])
-        S <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
-        if out is None:
-            if S.shape == dims:
-                out = S
-                continue
-            out = np.zeros(dims, dt)
-        part = out[reach]
-        np.maximum(part, S, out=part)
-    return AverageField(grid, out, D)
+        ]
+        parts[0] <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
+        if len(parts) == 1 and terms:  # fold into the running maximum
+            (out,) = terms[0]
+            part = out[reach]
+            np.maximum(part, parts[0], out=part)
+            continue
+        term = []  # the shape's factors, each zero outside the reach
+        for S, f, ax in zip(parts, mask.factors, axes):
+            if S.shape != f.shape:
+                S, inner = np.zeros(f.shape, dt), S
+                S[reach[ax]] = inner
+            term.append(S)
+        terms.append(tuple(term))
+    return AverageField(grid, tuple(terms), D)
 
 
 def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
@@ -388,6 +409,22 @@ def product_superlevel_measure(fields, threshold: DyadicRational) -> DyadicRatio
     c = _count_threshold(sum(f.denom_exp for f in fields), threshold)
     count = sum(k for p, k in table.items() if p >= c)
     return DyadicRational(count, sum(f.grid.cell_volume_exponent for f in fields))
+
+
+def value_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a 2D array, in lexicographic order, and
+    the number of times each occurs: with one row per field or mask and
+    one column per cell of an axis, the classes of cells that every row
+    holds alike, and their sizes.
+
+    One `np.lexsort` brings equal columns together, and a class starts
+    wherever a column differs from its left neighbour."""
+    order = np.lexsort(rows[::-1])
+    rows = rows[:, order]
+    edges = np.ones(order.size + 1, bool)  # where a class starts or ends
+    np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=0, out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    return rows[:, bounds[:-1]], np.diff(bounds)
 
 
 @dataclass(frozen=True)

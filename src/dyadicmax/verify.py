@@ -14,6 +14,16 @@ R(i), and certifies on an exact grid that
     full family maximal field, so the reported superlevel measure is a
     certified lower bound.
 
+E, every Y(i) and every R(i) are products, so the grid is never built.
+Each field of E is a maximum of outer products of per-axis factors, and
+each Y(i) is the outer AND of its axes.  The homogeneity check reads E,
+Y(i) and the R(i) field factor by factor.  On each axis, the cells that
+every family term and every Y(i) hold alike form a class, so S, S_alt,
+|∪Y(i)| and the inclusion are counted over the tuples of classes, each
+weighted by the product of its classes' sizes.  A passing
+`verify_theorem` builds no array of the grid's size; the cell budget
+still counts the grid's cells.
+
 A `VerificationReport` stores what a run measured and the outcome of
 each check; it derives the sharpness ratio and the verdict from them.
 
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import decimal
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +70,7 @@ from .evaluator import (
     maximal_field,
     product_superlevel_measure,
     rasterize,
-    superlevel_mask,
+    value_classes,
 )
 from .family import find_progression, generate_shapes, is_member
 
@@ -153,11 +164,41 @@ class HomogeneityResult:
     counterexample: tuple[int, ...] | None = None
 
 
-def _first_failure(ok: np.ndarray, idx) -> tuple[int, ...]:
-    """The first failing cell of a test ok read at arr[idx], whose
-    entries follow the cells' C order (`cell_index`)."""
-    at = np.unravel_index(np.argmin(ok), ok.shape)
-    return tuple(int(np.broadcast_to(c, ok.shape)[at]) for c in idx)
+def _common_layout(terms, masks):
+    """The factors of field terms and of masks on one layout: their own
+    when all of them split the grid alike, else each one's dense outer
+    product as its single factor."""
+    factors = [*terms, *(mask.factors for mask in masks)]
+    if len({tuple(f.shape for f in fs) for fs in factors}) == 1:
+        return list(terms), [mask.factors for mask in masks]
+    return (
+        [(reduce(np.multiply.outer, t),) for t in terms],
+        [(mask.values,) for mask in masks],
+    )
+
+
+def _first_below(parts, c: int) -> tuple[int, ...] | None:
+    """The first cell in C order, among the cells of a product set, at
+    which the product of the factors' values is below c; None if there
+    is none.  Each part is (a factor's values at its selected cells, the
+    factor's selector), so the cells run in the order of the selected
+    cells' C order, factor by factor.
+
+    The values are >= 0, so the least product is the product of the
+    factors' least values.  Fixing the factors in order, each at its
+    first selected cell from which a product below c is still reachable
+    with the least values of the factors after it, finds that cell."""
+    least = [int(np.minimum.reduce(v)) for v, _ in parts]
+    if math.prod(least) >= c:
+        return None
+    cell, prefix = (), 1
+    for j, (v, sel) in enumerate(parts):
+        rest = prefix * math.prod(least[j + 1:])
+        # rest * v < c iff v < ceil(c / rest)
+        p = 0 if rest == 0 else int(np.argmax(v < -(-c // rest)))
+        prefix *= int(v[p])
+        cell += tuple(int(x[p]) for x in sel.nonzero())
+    return cell
 
 
 def check_homogeneity(
@@ -169,17 +210,19 @@ def check_homogeneity(
     1_E at least 2^-k, where |Y(i)| = 2^k |Y(i) ∩ E|; mask_E is E
     rasterized on the instance grid.
 
-    Both tests read only the cells each mask selects (`cell_index`), and
-    Y(i) is read at the cells of E through its factors (`at`), so masks
-    with per-axis factors build neither their values nor a grid-sized
-    temporary, and a failed test takes its witness, the first failing
-    cell, from the entries it read."""
+    Y(i), E and the R(i) field are products over the same factors, so
+    both tests read them factor by factor (`_first_below`): E ⊂ Y(i) as
+    the product of Y(i)'s factors at the cells of E's, and the field at
+    Y(i)'s cells as the product of its factors there.  Nothing of the
+    grid's size is built, and a failed test reports its first failing
+    cell in C order.  Masks that split the grid differently are read
+    through their dense products."""
     mask_Y = rasterize(instance.Y[i], instance.grid)
-    idx_E, idx_Y = mask_E.cell_index(), mask_Y.cell_index()
-    inside = mask_Y.at(idx_E)
-    if not inside.all():
+    _, (fE, fY) = _common_layout((), [mask_E, mask_Y])
+    outside = _first_below([(y[e], e) for e, y in zip(fE, fY)], 1)
+    if outside is not None:
         # E ⊂ Y(i) must hold; report the first offending cell
-        return HomogeneityResult(-1, False, _first_failure(inside, idx_E))
+        return HomogeneityResult(-1, False, outside)
     # E ⊂ Y(i), so |Y(i) ∩ E| = |E|; both measures are canonical (odd
     # mantissa), so their ratio is a power of two iff the mantissas agree
     mu_Y, mu_E = mask_Y.measure(), mask_E.measure()
@@ -187,11 +230,36 @@ def check_homogeneity(
         raise ConstructionError(f"|Y|/|Y∩E| is not a power of two at index {i}")
     k = mu_Y.exponent - mu_E.exponent
     fld = maximal_field(mask_E, [instance.R[i]])
+    (term,), (fY,) = _common_layout(fld.terms, [mask_Y])
     c = _count_threshold(fld.denom_exp, DyadicRational.pow2(-k))
-    seen = fld.num[idx_Y]
-    if int(seen.min()) >= c:
-        return HomogeneityResult(k, True)
-    return HomogeneityResult(k, False, _first_failure(seen >= c, idx_Y))
+    low = _first_below([(t[y], y) for t, y in zip(term, fY)], c)
+    return HomogeneityResult(k, low is None, low)
+
+
+def _bitsets(factors) -> np.ndarray:
+    """Per cell of equal-shape mask factors, the set of factors that hold
+    it, as the bits of one column of bytes (eight factors a row)."""
+    return np.packbits([f.ravel() for f in factors], axis=0)
+
+
+def _meets(bitsets) -> np.ndarray:
+    """On the class grid, whether the bitsets of a tuple's classes (per
+    factor, `_bitsets` rows at its classes) share a bit."""
+    hit = False
+    for rows in zip(*bitsets):  # one row of bytes per factor
+        hit = hit | (reduce(np.bitwise_and.outer, rows) != 0)
+    return hit
+
+
+def _class_measure(grid: GridSpec, selected: np.ndarray, counts) -> DyadicRational:
+    """The measure of the cells whose class tuples are selected: the
+    sum of the selected products of class sizes, contracted one factor
+    at a time, in int64 while no count can pass it."""
+    dtype = np.int64 if grid.cells_exponent < 63 else object
+    total = selected
+    for size in reversed(counts):
+        total = total @ size.astype(dtype, copy=False)
+    return DyadicRational(int(total), grid.cell_volume_exponent)
 
 
 @dataclass(frozen=True)
@@ -205,27 +273,27 @@ class DisjointnessResult:
 
 def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     """Independence of the primitive rectangles plus the exact overlap
-    ratio of the union of the Y(i)."""
+    ratio of the union of the Y(i), counted over the classes of cells
+    that lie in the same Y(i) on each factor."""
     shapes = [instance.R[i] for i in instance.indices]
     au = anchored_union_measure(shapes)
     min_delta = min(
         diff.as_fraction() / s.volume().as_fraction()
         for diff, s in zip(au.differences, shapes)
     )
-    union_Y = BitMask(instance.grid, (union_Y_mask(instance),)).measure()
+    masks = [rasterize(instance.Y[i], instance.grid) for i in instance.indices]
+    _, member = _common_layout((), masks)
+    # per factor, the classes of cells that lie in the same Y(i)
+    words, counts = zip(*(
+        value_classes(_bitsets(y[j] for y in member)) for j in range(len(member[0]))
+    ))
+    union_Y = _class_measure(instance.grid, _meets(words), counts)
     sum_Y = sum(
         (crystal_measure(instance.Y[i]) for i in instance.indices),
         DyadicRational(0, 0),
     )
     rho = union_Y.as_fraction() / sum_Y.as_fraction()
     return DisjointnessResult(min_delta, union_Y, sum_Y, rho, min_delta > 0)
-
-
-def union_Y_mask(instance: TheoremInstance) -> np.ndarray:
-    bits = np.zeros(instance.grid.shape, dtype=bool)
-    for i in instance.indices:
-        bits[rasterize(instance.Y[i], instance.grid).cell_index()] = True
-    return bits
 
 
 @dataclass(frozen=True)
@@ -348,10 +416,25 @@ def verify_theorem(
     fld = maximal_field(mask_E, used)
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)
-    lvl = superlevel_mask(fld, thr)
-    S = BitMask(inst.grid, (lvl,)).measure()
-    S_alt = BitMask(inst.grid, (superlevel_mask(fld, thr_alt),)).measure()
-    inclusion_ok = bool(lvl[union_Y_mask(inst)].all())
+    # per factor, the classes of cells alike in every family term and in
+    # which Y(i) hold them; the family field is a maximum of products of
+    # per-factor values, so it is one value per tuple of classes
+    masks = [rasterize(inst.Y[i], inst.grid) for i in inst.indices]
+    terms, member = _common_layout(fld.terms, masks)
+    T = len(terms)
+    values, counts = zip(*(
+        value_classes(np.concatenate(
+            [[t[j].ravel() for t in terms], _bitsets(y[j] for y in member)]
+        ))
+        for j in range(len(member[0]))
+    ))
+    field = np.zeros(tuple(map(len, counts)), values[0].dtype)
+    for k in range(T):
+        np.maximum(field, reduce(np.multiply.outer, [v[k] for v in values]), out=field)
+    lvl, lvl_alt = (field >= _count_threshold(fld.denom_exp, t) for t in (thr, thr_alt))
+    S = _class_measure(inst.grid, lvl, counts)
+    S_alt = _class_measure(inst.grid, lvl_alt, counts)
+    inclusion_ok = not (_meets([v[T:] for v in values]) & ~lvl).any()
     runtime = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         kind="theorem",

@@ -7,7 +7,6 @@ import sys
 from itertools import compress
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -385,10 +384,12 @@ def failing_check(request, monkeypatch):
             lambda inst: dataclasses.replace(real(inst), passed=False),
         )
     else:
-        # a union of the Y(i) that fills the grid is not inside the
-        # superlevel set, which on these instances leaves a cell out
+        # a family field of its first shape alone: the homogeneity fields,
+        # of one shape each, are untouched, but the Y(i) of the other
+        # shapes leave its superlevel set, which stays nonempty
+        real = mod.maximal_field
         monkeypatch.setattr(
-            mod, "union_Y_mask", lambda inst: np.ones(inst.grid.shape, dtype=bool)
+            mod, "maximal_field", lambda mask, shapes: real(mask, list(shapes)[:1])
         )
     return request.param
 

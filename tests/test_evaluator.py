@@ -464,29 +464,25 @@ def factored_masks(draw):
 
 class TestFactoredMaskAnswers:
     """A mask of several factors, rasterized or mixed, answers its
-    measure, its set cells, its cells at an index, its support box, its
-    prefix table and its maximal field from its factors, and builds its
-    values only when they are read; its dense copy, its own single
-    factor, answers from the grid and is the oracle."""
+    measure, its support box, its prefix table and its maximal field
+    from its factors, and builds its values only when they are read; its
+    field holds one term per shape (an empty mask's, one zero term),
+    laid out like the mask's factors.
+    Its dense copy, its own single factor, answers from the grid and is
+    the oracle."""
 
     @given(case=factored_masks())
     @settings(max_examples=60, deadline=None)
     def test_against_the_dense_copy(self, case):
         grid, masks, shapes, ndims = case
-        picks = np.random.default_rng(grid.ncells + len(masks))
-        indices = [m.cell_index() for m in masks] + [
-            tuple(int(picks.integers(N)) for N in grid.shape),
-            tuple(picks.integers(N, size=5) for N in grid.shape),
-        ]
         for mask in masks:
             measure, box = mask.measure(), _support_box(mask)
-            got = [mask.at(idx) for idx in indices]
             table, fld = whole_table(mask), maximal_field(mask, shapes)
             assert "values" not in vars(mask)  # all read from the factors
+            assert len(fld.terms) == (1 if box is None else len(shapes))
+            for term in fld.terms:
+                assert [f.shape for f in term] == [f.shape for f in mask.factors]
             dense = BitMask(grid, (mask.values.copy(),))
-            for g, idx in zip(got, indices):
-                assert np.array_equal(g, mask.values[idx])
-                assert np.array_equal(dense.at(idx), mask.values[idx])
             assert measure == mask.measure() and box == _support_box(mask)
             assert tuple(f.ndim for f in mask.factors) == ndims
             assert len(dense.factors) == 1
@@ -494,19 +490,10 @@ class TestFactoredMaskAnswers:
             assert mask.measure() == dense.measure() == DyadicRational(
                 count, grid.cell_volume_exponent
             )
-            for source in (mask, dense):
-                # the set cells in C order, which the homogeneity witness reads
-                coords = np.broadcast_arrays(*source.cell_index())
-                assert np.array_equal(
-                    np.stack([c.ravel() for c in coords], axis=1), np.argwhere(mask.values)
-                )
-                picked = np.zeros(grid.shape, dtype=bool)
-                picked[source.cell_index()] = True
-                assert np.array_equal(picked, mask.values)
-                assert mask.values[source.cell_index()].size == count
             assert _support_box(mask) == _support_box(dense)
             assert np.array_equal(table, whole_table(dense))
             want = maximal_field(dense, shapes)
+            assert len(want.terms) == 1
             assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
             assert np.array_equal(fld.num, want.num)
 
@@ -694,7 +681,7 @@ class TestSuperlevel:
         D = 8 * np.dtype(dtype).itemsize - 1
         grid = GridSpec((0,), (2,))
         num = np.array([0, 1, (1 << D) - 1, 1 << D], dtype=dtype)
-        fld = AverageField(grid, num, D)
+        fld = AverageField(grid, ((num,),), D)
         cases = [
             (DyadicRational(1, -D), [False, True, True, True]),
             (DyadicRational(1, 0), [False, False, False, True]),

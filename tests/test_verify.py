@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dyadicmax
 from dyadicmax.crystal import ScaleSet, Shape, product_crystal
@@ -36,15 +37,17 @@ from dyadicmax.evaluator import (
 )
 from dyadicmax.verify import (
     CSV_COLUMNS,
+    _class_measure,
+    _first_below,
     build_instance,
     check_disjointness,
     check_homogeneity,
     cube_counterexample,
     fraction_decimal,
-    union_Y_mask,
     verify_theorem,
 )
 from dyadicmax.family import find_progression, generate_shapes
+from dense_theorem import dense_theorem, homogeneity, union_Y_mask
 from test_evaluator import small_instances
 
 
@@ -130,13 +133,12 @@ class TestHomogeneity:
         assert all(r.passed and r.k == 2 for r in results)
 
     def test_passing_check_builds_only_the_field(self):
-        # the 2^18-cell grid of n=2, m=10: Y(i) is read through its
-        # factors and the prefix tables are 1D, so the R(i) field is the
-        # only grid-sized array the check builds
+        # the 2^18-cell grid of n=2, m=10: the check builds the R(i) field
+        # as 1D factors of 2^9 cells and reads it, Y(i) and E factor by
+        # factor; a grid-sized array would take at least 2^18 bytes
         inst = build_instance(2, range(10))
         i = inst.indices[3]
         mask_E = rasterize(inst.E, inst.grid)
-        itemsize = maximal_field(mask_E, [inst.R[i]]).num.itemsize
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -146,7 +148,7 @@ class TestHomogeneity:
         finally:
             tracemalloc.stop()
         assert r.passed and "values" not in vars(mask_E)
-        assert peak < 1.25 * inst.grid.ncells * itemsize
+        assert peak < inst.grid.ncells // 8
 
     def test_ratio_not_a_power_of_two_raises(self, monkeypatch):
         # one extra cell outside E keeps E ⊂ Y(i), but |Y(i)| is then
@@ -228,12 +230,13 @@ class TestHomogeneityOnProductMasks:
             )
         mask_E = rasterize(inst.E, inst.grid)
         got = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
-        bits = union_Y_mask(inst)
+        union_Y = check_disjointness(inst).union_Y
         with pytest.MonkeyPatch.context() as mp:
             densely_rasterized(mp)
             want = [check_homogeneity(inst, i, dense_copy(mask_E)) for i in inst.indices]
-            assert np.array_equal(bits, union_Y_mask(inst))
-        assert got == want
+            assert check_disjointness(inst).union_Y == union_Y
+        assert got == want == [homogeneity(inst, i, mask_E) for i in inst.indices]
+        assert union_Y == BitMask(inst.grid, (union_Y_mask(inst),)).measure()
         if variant == "one_cell_R":
             assert not any(r.passed for r in got)
         # the first failing cell in C order, found on the dense grid
@@ -264,7 +267,7 @@ class TestHomogeneityOnProductMasks:
             num = fld.num.copy()
             for cell in cells:
                 num[cell] = 0
-            return AverageField(fld.grid, num, fld.denom_exp)
+            return AverageField(fld.grid, ((num,),), fld.denom_exp)
 
         monkeypatch.setattr(dyadicmax.verify, "maximal_field", cells_lowered)
         mask_E = rasterize(inst.E, inst.grid)
@@ -396,6 +399,150 @@ class TestVerifyTheorem:
         row = rep.csv_row()
         assert tuple(row) == CSV_COLUMNS
         assert row["index_count"] == 3
+
+
+@st.composite
+def theorem_inputs(draw):
+    """n, A and m of a theorem run that dense evaluation still affords:
+    n = 2..4, a progression of step 1..3 from an offset in -5..5, cut so
+    its grid has at most 2^14 cells, and up to three extra scales inside
+    its span, which add family generators that fit the grid (and may
+    hold a progression of smaller step, on a smaller grid)."""
+    n, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    m = draw(st.integers(2, 1 + 14 // (n * d)))
+    u0 = draw(st.integers(-5, 5))
+    u = range(u0, u0 + m * d, d)
+    extra = draw(st.sets(st.integers(u[0], u[-1]), max_size=3))
+    return n, sorted(set(u) | extra), m
+
+
+class TestClassPathAgainstTheDensePipeline:
+    """verify_theorem counts S, S_alt, |∪Y| and the inclusion over
+    per-axis classes of cells, and check_homogeneity reads E, Y(i) and
+    the R(i) field factor by factor; `dense_theorem.py` computes each on
+    grid-sized arrays and is the oracle."""
+
+    @given(case=theorem_inputs())
+    @example(case=(2, [0, 2, 3, 4, 6, 8], 5))
+    @example(case=(2, [0, 3, 4, 5, 6, 9, 12], 5))
+    @example(case=(3, [0, 2, 3, 4, 6], 4))
+    @example(case=(2, [-5, -2, 1, 4], 4))
+    @example(case=(4, [0, 3], 2))
+    @settings(max_examples=60, deadline=None)
+    def test_reports_and_homogeneity(self, case):
+        n, A, m = case
+        rep = verify_theorem(n, A, m)
+        want = dense_theorem(n, A, m)
+        got = (rep.superlevel, rep.superlevel_alt, rep.union_Y, rep.inclusion_ok)
+        assert got == (want.S, want.S_alt, want.union_Y, want.inclusion_ok)
+        inst = build_instance(n, find_progression(A, m))
+        mask_E = rasterize(inst.E, inst.grid)
+        hom = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
+        assert hom == want.homogeneity
+        assert rep.homogeneity_ok == all(r.passed for r in hom)
+        assert rep.passed
+
+    @pytest.mark.parametrize("cut", ["first_shape", "one_cell"])
+    def test_uncovered_cell_of_a_Y_fails_inclusion(self, monkeypatch, cut):
+        # the family field of its first generator alone, read per axis;
+        # or the full field with the last cell of ∪Y(i) lowered to 0,
+        # read as one dense factor: either leaves a cell of some Y(i)
+        # outside the superlevel set, which the dense mask of ∪Y(i) finds
+        n, A, m = 2, range(0, 8, 2), 4
+        inst = build_instance(n, find_progression(A, m))
+        union = union_Y_mask(inst)
+        last = np.unravel_index(np.flatnonzero(union)[-1], union.shape)
+        real = maximal_field
+
+        def family_cut(mask, shapes):
+            shapes = list(shapes)
+            if len(shapes) == 1:  # a homogeneity field
+                return real(mask, shapes)
+            if cut == "first_shape":
+                return real(mask, shapes[:1])
+            fld = real(mask, shapes)
+            num = fld.num.copy()
+            num[last] = 0
+            return AverageField(fld.grid, ((num,),), fld.denom_exp)
+
+        monkeypatch.setattr(dyadicmax.verify, "maximal_field", family_cut)
+        rep = verify_theorem(n, A, m)
+        checks = (rep.homogeneity_ok, rep.disjointness_ok, rep.inclusion_ok)
+        assert checks == (True, True, False)
+        mask_E = rasterize(inst.E, inst.grid)
+        used = [s for s in generate_shapes(n, A) if inst.grid.compatible_shape(s)]
+        lvl = superlevel_mask(family_cut(mask_E, used), DyadicRational.pow2(-(m - 1)))
+        assert (union & ~lvl).any()
+        assert rep.superlevel == BitMask(inst.grid, (lvl,)).measure()
+        if cut == "one_cell":
+            assert np.argwhere(union & ~lvl).tolist() == [list(last)]
+
+
+@st.composite
+def product_values(draw):
+    """One to three factors of one or two axes, each with small values
+    and a nonempty selection of cells, and a bound c."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+        sel = draw(hnp.arrays(bool, shape, fill=st.nothing()).filter(np.any))
+        values = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 6)))
+        parts.append((values, sel))
+    return parts, draw(st.integers(0, 100))
+
+
+def _arrays(*rows):
+    return [(np.array(v, np.uint8), np.ones(len(v), bool)) for v in rows]
+
+
+@given(case=product_values())
+# the first factor's value 2 at cell 0 leaves 2 * 2 >= 3; its value 1
+# at cell 1 reaches 2 < 3, since ceil(3 / 2) = 2 > 1
+@example(case=(_arrays([2, 1], [2]), 3))
+@settings(max_examples=200, deadline=None)
+def test_first_below_is_the_first_failing_cell(case):
+    # the oracle scans the selected cells of the product in C order
+    parts, c = case
+    want = None
+    for cells in iproduct(*(np.argwhere(sel) for _, sel in parts)):
+        if math.prod(int(v[tuple(x)]) for (v, _), x in zip(parts, cells)) < c:
+            want = tuple(int(i) for x in cells for i in x)
+            break
+    assert _first_below([(v[sel], sel) for v, sel in parts], c) == want
+
+
+def test_class_counts_past_int64():
+    # one class of 2^32 cells on each axis of a 2^64-cell grid: the count
+    # 2^64 passes int64, so it is summed in Python ints
+    grid = GridSpec((0, 0), (32, 32), budget=1 << 70)
+    counts = (np.array([1 << 32]), np.array([1 << 32]))
+    selected = np.ones((1, 1), bool)
+    assert _class_measure(grid, selected, counts) == DyadicRational(1, 64)
+
+
+class TestPastTheDenseFrontier:
+    """Runs whose dense grid would not fit: each stays under a few MB of
+    traced allocations, since nothing of the grid's size is built."""
+
+    @pytest.mark.parametrize(
+        "A, m, ratio",
+        [
+            # 2^28 cells; the value the dense pipeline recorded (30 s, 2 GB)
+            (range(0, 16, 2), 8, Fraction(13167173, 33554432)),
+            # 2^30 cells, the default budget; the step-1 closed form (m+1)/(4m)
+            (range(16), 16, Fraction(17, 64)),
+        ],
+        ids=["n2m8d2", "n2m16d1"],
+    )
+    def test_ratio_and_peak_memory(self, A, m, ratio):
+        tracemalloc.start()
+        try:
+            rep = verify_theorem(2, A, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.ratio == ratio
+        assert peak < 8 << 20
 
 
 class TestCubeCounterexample:
