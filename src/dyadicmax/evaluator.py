@@ -23,15 +23,14 @@ outer product of each term's factors.  On a mask of one factor the
 shapes fold into one running maximum, a dense field of one term; on a
 mask of several factors each shape is a term of its own, each factor
 zero outside the shape's reach, so with 1D factors the kernel builds no
-grid-sized array.  A field's dense `num` and a mask's `values` are
-built only when they are read.  Masks and fields compare by identity.
+grid-sized array.  A field's `num` is built on first read, a mask's
+`values` on each read.  Masks and fields compare by identity.
 
-Such fields are counted over value classes instead of cells: the cells
-of one axis that every factor row on it holds alike form a class
-(`value_classes`), and a maximum of outer products is one value per
-tuple of classes.  `product_superlevel_measure` does so for the unit
-cube's family field, the n-fold product of one 1D field, and
-`dyadicmax.verify` for the theorem's fields and the Y(i).
+Such fields are counted over value classes of cells (`value_classes`),
+the cells of a factor axis that every term holds alike, with the axes
+but the last folded into one: a maximum of outer products is one value
+per pair of classes.  `dyadicmax.verify` counts the unit cube's field,
+the theorem's family field and the indicator of ∪Y(i) this way.
 
 Only cell-aligned translates are enumerated and cells outside the
 bounding box count as zero, so every superlevel measure reported here
@@ -41,7 +40,6 @@ is a certified lower bound for the true maximal operator.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import index
@@ -139,10 +137,10 @@ class BitMask:
                 f"shapes concatenate to {self.grid.shape}"
             )
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        """The outer AND of the factors, built on first read, as a read-only
-        view; of several factors it is a copy, which later writes miss."""
+        """The outer AND of the factors, built on each read, as a read-only
+        view: of one factor, a view of it."""
         v = reduce(np.logical_and.outer, self.factors).view()
         v.flags.writeable = False
         return v
@@ -388,43 +386,60 @@ def superlevel_mask(fieldobj: AverageField, threshold: DyadicRational) -> np.nda
     return fieldobj.num >= _count_threshold(fieldobj.denom_exp, threshold)
 
 
-def product_superlevel_measure(fields, threshold: DyadicRational) -> DyadicRational:
-    """Measure of {f_1 x ... x f_k >= threshold} for the field whose value
-    at a cell (x_1, ..., x_k) is the product of the values f_j(x_j), on
-    the product of the fields' grids.
+def value_classes(*fields: AverageField):
+    """Fields of one grid and one factor layout counted over classes of
+    cells: ((rows, counts), (last_rows, last_counts)), or ParameterError.
 
-    Each field is compressed to its distinct values and their cell
-    multiplicities, then folded in one at a time into a table from each
-    product of values to its cells, in Python ints; a cube's values are
-    powers of two, so its table keeps at most n m + 1 products."""
-    fields = list(fields)
-    table = Counter({1: 1})
-    for f in fields:
-        vals, mult = np.unique(f.num, return_counts=True)
-        step = Counter()
-        for v, w in zip(vals.tolist(), mult.tolist()):
-            for p, k in table.items():
-                step[p * v] += k * w
-        table = step
-    c = _count_threshold(sum(f.denom_exp for f in fields), threshold)
-    count = sum(k for p, k in table.items() if p >= c)
-    return DyadicRational(count, sum(f.grid.cell_volume_exponent for f in fields))
+    On each factor axis, the cells at which every term holds the same
+    value form a class (one `np.lexsort` of the stacked term rows).  The
+    axes but the last fold into one: each step multiplies the rows out
+    over pairs of classes, merges equal columns and sums their cell
+    counts, int64 below 2^63 cells and Python ints above.  rows holds a
+    block per field, a row per term in min_scalar_type(2^denom_exp), so a
+    field's value on the class pair (a, b) is the maximum over its terms
+    of rows[t, a] * last_rows[t, b], on counts[a] * last_counts[b] cells.
+    Products wrap modulo 2^bits, which leaves exact every full product
+    of a field, at most 2^denom_exp.  A set's indicator is a field of
+    bool factors over 2^0: its rows take a byte a cell, and `*` is AND."""
+    layouts = {tuple(f.shape for f in t) for fld in fields for t in fld.terms}
+    if len(layouts) != 1 or len({fld.grid for fld in fields}) != 1:
+        raise ParameterError("fields must share one grid and one factor layout")
+    dtypes = [np.min_scalar_type(1 << fld.denom_exp) for fld in fields]
+    axes = []
+    for j in range(len(fields[0].terms[0])):
+        rows, counts = _distinct_columns(
+            [np.array([t[j].ravel() for t in fld.terms]) for fld in fields]
+        )
+        axes.append(([r.astype(dt, copy=False) for r, dt in zip(rows, dtypes)], counts))
+    cells = np.int64 if fields[0].grid.cells_exponent < 63 else object
+    rows = [np.ones((len(fld.terms), 1), dt) for fld, dt in zip(fields, dtypes)]
+    counts = np.ones(1, cells)
+    for step, size in axes[:-1]:
+        rows = [
+            (r[:, :, None] * s[:, None, :]).reshape(len(r), -1) for r, s in zip(rows, step)
+        ]
+        counts = np.multiply.outer(counts, size.astype(cells)).ravel()
+        if counts.size > size.size:  # merging only compresses; one class needs none
+            rows, counts = _distinct_columns(rows, counts)
+    return (rows, counts), axes[-1]
 
 
-def value_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct columns of a 2D array, in lexicographic order, and
-    the number of times each occurs: with one row per field or mask and
-    one column per cell of an axis, the classes of cells that every row
-    holds alike, and their sizes.
-
-    One `np.lexsort` brings equal columns together, and a class starts
-    wherever a column differs from its left neighbour."""
-    order = np.lexsort(rows[::-1])
-    rows = rows[:, order]
-    edges = np.ones(order.size + 1, bool)  # where a class starts or ends
-    np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=0, out=edges[1:-1])
+def _distinct_columns(blocks, weights=None):
+    """The distinct columns of row blocks of one width, each block's rows
+    at them, and the summed weights (by default, the number) of each
+    distinct column's copies."""
+    order = np.lexsort([row for block in blocks for row in block])
+    blocks = [block.take(order, axis=1) for block in blocks]
+    edges = np.zeros(order.size + 1, bool)  # where a run of equal columns starts or ends
+    edges[0] = edges[-1] = True
+    for block in blocks:
+        edges[1:-1] |= np.logical_or.reduce(block[:, 1:] != block[:, :-1])
     bounds = np.flatnonzero(edges)
-    return rows[:, bounds[:-1]], np.diff(bounds)
+    first = bounds[:-1]
+    rows = [block.take(first, axis=1) for block in blocks]
+    if weights is None:
+        return rows, bounds[1:] - first
+    return rows, np.add.reduceat(weights[order], first)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,20 @@ R(i), and certifies on an exact grid that
 E, every Y(i) and every R(i) are products, so the grid is never built.
 Each field of E is a maximum of outer products of per-axis factors, and
 each Y(i) is the outer AND of its axes.  The homogeneity check reads E,
-Y(i) and the R(i) field factor by factor.  On each axis, the cells that
-every family term and every Y(i) hold alike form a class, so S, S_alt,
-|∪Y(i)| and the inclusion are counted over the tuples of classes, each
-weighted by the product of its classes' sizes.  A passing
-`verify_theorem` builds no array of the grid's size; the cell budget
-still counts the grid's cells.
+Y(i) and the R(i) field factor by factor, and refuses masks and fields
+of any other layout.  S, S_alt, |∪Y(i)| and the inclusion are counted
+over the value classes of the family field and of the indicator of
+∪Y(i) (`value_classes`): each is a maximum of outer products on one
+grid of class pairs, thresholded and weighted by the classes' cell
+counts.  A passing `verify_theorem` builds no array of the grid's size;
+the cell budget still counts the grid's cells.
 
 A `VerificationReport` stores what a run measured and the outcome of
 each check; it derives the sharpness ratio and the verdict from them.
 
 The unit-cube example (`cube_counterexample`) is evaluated as a
 product: one 1D field of [0, 1] over the side exponents 0..m, whose
-n-fold product has its superlevel set counted over the field's value
-classes.
+n-fold product is counted over value classes like the theorem's fields.
 
 Aligned evaluation under-estimates the true maximal operator, which is
 the safe direction for these lower bounds.
@@ -62,13 +62,13 @@ from .dyadic import DyadicRational
 from .errors import ConstructionError, NoProgressionError, ParameterError
 from .evaluator import (
     DEFAULT_CELL_BUDGET,
+    AverageField,
     BitMask,
     GridSpec,
     _count_threshold,
     anchored_union_measure,
     check_budget,
     maximal_field,
-    product_superlevel_measure,
     rasterize,
     value_classes,
 )
@@ -164,17 +164,11 @@ class HomogeneityResult:
     counterexample: tuple[int, ...] | None = None
 
 
-def _common_layout(terms, masks):
-    """The factors of field terms and of masks on one layout: their own
-    when all of them split the grid alike, else each one's dense outer
-    product as its single factor."""
-    factors = [*terms, *(mask.factors for mask in masks)]
-    if len({tuple(f.shape for f in fs) for fs in factors}) == 1:
-        return list(terms), [mask.factors for mask in masks]
-    return (
-        [(reduce(np.multiply.outer, t),) for t in terms],
-        [(mask.values,) for mask in masks],
-    )
+def _per_axis(grid: GridSpec, factors) -> tuple[np.ndarray, ...]:
+    """The factors of a mask or field term, if one 1D array per axis."""
+    if [f.ndim for f in factors] != [1] * grid.dimension:
+        raise ParameterError("masks and fields must hold one 1D factor per grid axis")
+    return factors
 
 
 def _first_below(parts, c: int) -> tuple[int, ...] | None:
@@ -210,15 +204,14 @@ def check_homogeneity(
     1_E at least 2^-k, where |Y(i)| = 2^k |Y(i) ∩ E|; mask_E is E
     rasterized on the instance grid.
 
-    Y(i), E and the R(i) field are products over the same factors, so
-    both tests read them factor by factor (`_first_below`): E ⊂ Y(i) as
-    the product of Y(i)'s factors at the cells of E's, and the field at
-    Y(i)'s cells as the product of its factors there.  Nothing of the
-    grid's size is built, and a failed test reports its first failing
-    cell in C order.  Masks that split the grid differently are read
-    through their dense products."""
+    Y(i), E and the R(i) field are products of one 1D factor per axis,
+    or `ParameterError` is raised, so both tests read them factor by
+    factor (`_first_below`): E ⊂ Y(i) as the product of Y(i)'s factors
+    at the cells of E's, and the field at Y(i)'s cells as the product of
+    its factors there.  Nothing of the grid's size is built, and a
+    failed test reports its first failing cell in C order."""
     mask_Y = rasterize(instance.Y[i], instance.grid)
-    _, (fE, fY) = _common_layout((), [mask_E, mask_Y])
+    fE, fY = (_per_axis(instance.grid, mask.factors) for mask in (mask_E, mask_Y))
     outside = _first_below([(y[e], e) for e, y in zip(fE, fY)], 1)
     if outside is not None:
         # E ⊂ Y(i) must hold; report the first offending cell
@@ -230,36 +223,23 @@ def check_homogeneity(
         raise ConstructionError(f"|Y|/|Y∩E| is not a power of two at index {i}")
     k = mu_Y.exponent - mu_E.exponent
     fld = maximal_field(mask_E, [instance.R[i]])
-    (term,), (fY,) = _common_layout(fld.terms, [mask_Y])
+    (term,) = fld.terms
+    term = _per_axis(instance.grid, term)
     c = _count_threshold(fld.denom_exp, DyadicRational.pow2(-k))
     low = _first_below([(t[y], y) for t, y in zip(term, fY)], c)
     return HomogeneityResult(k, low is None, low)
 
 
-def _bitsets(factors) -> np.ndarray:
-    """Per cell of equal-shape mask factors, the set of factors that hold
-    it, as the bits of one column of bytes (eight factors a row)."""
-    return np.packbits([f.ravel() for f in factors], axis=0)
+def _class_field(classes, k: int) -> np.ndarray:
+    """Field k of `value_classes` on its grid of class pairs."""
+    (rows, _), (last, _) = classes
+    return reduce(np.maximum, map(np.multiply.outer, rows[k], last[k]))
 
 
-def _meets(bitsets) -> np.ndarray:
-    """On the class grid, whether the bitsets of a tuple's classes (per
-    factor, `_bitsets` rows at its classes) share a bit."""
-    hit = False
-    for rows in zip(*bitsets):  # one row of bytes per factor
-        hit = hit | (reduce(np.bitwise_and.outer, rows) != 0)
-    return hit
-
-
-def _class_measure(grid: GridSpec, selected: np.ndarray, counts) -> DyadicRational:
-    """The measure of the cells whose class tuples are selected: the
-    sum of the selected products of class sizes, contracted one factor
-    at a time, in int64 while no count can pass it."""
-    dtype = np.int64 if grid.cells_exponent < 63 else object
-    total = selected
-    for size in reversed(counts):
-        total = total @ size.astype(dtype, copy=False)
-    return DyadicRational(int(total), grid.cell_volume_exponent)
+def _measure(grid: GridSpec, selected: np.ndarray, classes) -> DyadicRational:
+    """The measure of the cells of the class pairs selected by 0/1."""
+    (_, counts), (_, last) = classes
+    return DyadicRational(int(counts @ selected @ last), grid.cell_volume_exponent)
 
 
 @dataclass(frozen=True)
@@ -273,8 +253,8 @@ class DisjointnessResult:
 
 def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     """Independence of the primitive rectangles plus the exact overlap
-    ratio of the union of the Y(i), counted over the classes of cells
-    that lie in the same Y(i) on each factor."""
+    ratio of the union of the Y(i), counted over its indicator's value
+    classes."""
     shapes = [instance.R[i] for i in instance.indices]
     au = anchored_union_measure(shapes)
     min_delta = min(
@@ -282,12 +262,9 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
         for diff, s in zip(au.differences, shapes)
     )
     masks = [rasterize(instance.Y[i], instance.grid) for i in instance.indices]
-    _, member = _common_layout((), masks)
-    # per factor, the classes of cells that lie in the same Y(i)
-    words, counts = zip(*(
-        value_classes(_bitsets(y[j] for y in member)) for j in range(len(member[0]))
-    ))
-    union_Y = _class_measure(instance.grid, _meets(words), counts)
+    union = AverageField(instance.grid, tuple(y.factors for y in masks), 0)
+    classes = value_classes(union)
+    union_Y = _measure(instance.grid, _class_field(classes, 0), classes)
     sum_Y = sum(
         (crystal_measure(instance.Y[i]) for i in instance.indices),
         DyadicRational(0, 0),
@@ -416,25 +393,15 @@ def verify_theorem(
     fld = maximal_field(mask_E, used)
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)
-    # per factor, the classes of cells alike in every family term and in
-    # which Y(i) hold them; the family field is a maximum of products of
-    # per-factor values, so it is one value per tuple of classes
+    # the family field and the indicator of ∪Y(i) on one grid of classes
     masks = [rasterize(inst.Y[i], inst.grid) for i in inst.indices]
-    terms, member = _common_layout(fld.terms, masks)
-    T = len(terms)
-    values, counts = zip(*(
-        value_classes(np.concatenate(
-            [[t[j].ravel() for t in terms], _bitsets(y[j] for y in member)]
-        ))
-        for j in range(len(member[0]))
-    ))
-    field = np.zeros(tuple(map(len, counts)), values[0].dtype)
-    for k in range(T):
-        np.maximum(field, reduce(np.multiply.outer, [v[k] for v in values]), out=field)
+    union = AverageField(inst.grid, tuple(y.factors for y in masks), 0)
+    classes = value_classes(fld, union)
+    field = _class_field(classes, 0)
     lvl, lvl_alt = (field >= _count_threshold(fld.denom_exp, t) for t in (thr, thr_alt))
-    S = _class_measure(inst.grid, lvl, counts)
-    S_alt = _class_measure(inst.grid, lvl_alt, counts)
-    inclusion_ok = not (_meets([v[T:] for v in values]) & ~lvl).any()
+    S = _measure(inst.grid, lvl, classes)
+    S_alt = _measure(inst.grid, lvl_alt, classes)
+    inclusion_ok = bool((_class_field(classes, 1) <= lvl).all())
     runtime = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         kind="theorem",
@@ -469,8 +436,8 @@ def cube_counterexample(
     field is the n-fold product of the 1D field of [0, 1] over the
     shapes 0..m: averages, containing placements and exponents all split
     per axis, and a maximum of products of nonnegative factors is the
-    product of the maxima.  Only the 2^m-cell axis is materialized; the
-    budget still counts the n-D grid."""
+    product of the maxima: a field of one term on the n-D grid.  Only the
+    2^m-cell axis is materialized; the budget still counts the n-D grid."""
     t0 = time.perf_counter()
     n, m = index(n), index(m)
     if n < 1 or m < 1:
@@ -479,8 +446,12 @@ def cube_counterexample(
     unit = product_crystal(ScaleSet((0,)))
     mask = rasterize(unit, GridSpec((0,), (m,), budget))
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])
+    ((axis,),) = fld.terms
+    grid = GridSpec((0,) * n, (m,) * n, budget)
+    classes = value_classes(AverageField(grid, ((axis,) * n,), n * fld.denom_exp))
     thr = DyadicRational.pow2(-m)
-    S = product_superlevel_measure([fld] * n, thr)
+    lvl = _class_field(classes, 0) >= _count_threshold(n * fld.denom_exp, thr)
+    S = _measure(grid, lvl, classes)
     runtime = (time.perf_counter() - t0) * 1000.0
     nshapes = (m + 1) ** n
     return VerificationReport(

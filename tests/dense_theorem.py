@@ -42,14 +42,14 @@ def union_Y_mask(inst: TheoremInstance) -> np.ndarray:
 def homogeneity(inst: TheoremInstance, i, E: BitMask) -> HomogeneityResult:
     """check_homogeneity on the grid: E ⊂ Y(i), |Y(i)| = 2^k |E|, and the
     R(i) field of E at least 2^-k on every cell of Y(i)."""
-    Y = rasterize(inst.Y[i], inst.grid).values
-    outside = E.values & ~Y
+    Y, E = rasterize(inst.Y[i], inst.grid).values, E.values
+    outside = E & ~Y
     if outside.any():
         return HomogeneityResult(-1, False, first_cell(outside))
-    k = int(np.count_nonzero(Y) // np.count_nonzero(E.values)).bit_length() - 1
-    if np.count_nonzero(Y) != np.count_nonzero(E.values) << k:
+    k = int(np.count_nonzero(Y) // np.count_nonzero(E)).bit_length() - 1
+    if np.count_nonzero(Y) != np.count_nonzero(E) << k:
         raise ConstructionError(f"|Y|/|Y∩E| is not a power of two at index {i}")
-    fld = maximal_field(BitMask(inst.grid, (E.values,)), [inst.R[i]])
+    fld = maximal_field(BitMask(inst.grid, (E,)), [inst.R[i]])
     bad = Y & ~superlevel_mask(fld, DyadicRational.pow2(-k))
     return HomogeneityResult(k, not bad.any(), first_cell(bad) if bad.any() else None)
 

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -29,9 +28,9 @@ from dyadicmax.evaluator import (
     anchored_union_measure,
     maximal_field,
     prefix_sums,
-    product_superlevel_measure,
     rasterize,
     superlevel_mask,
+    value_classes,
 )
 from dyadicmax.verify import build_instance
 
@@ -291,6 +290,15 @@ class TestBitMaskContract:
         grid, factors = case
         with pytest.raises(ParameterError, match="bool ndarray"):
             BitMask(grid, factors)
+
+    def test_values_follow_writes_to_the_factors(self):
+        # values is built on each read, so it never goes stale
+        a, b = np.ones(2, bool), np.ones(2, bool)
+        mask = BitMask(GridSpec((0, 0), (1, 1)), (a, b))
+        assert mask.values.sum() == 4
+        a[0] = False
+        assert mask.values.sum() == 2 and mask.measure() == DyadicRational(2, 0)
+        assert not mask.values.flags.writeable and "values" not in vars(mask)
 
     def test_replaced_values_drop_the_factors(self):
         # all-True factors next to one corner cell: a mask that kept them
@@ -709,20 +717,14 @@ class TestSuperlevel:
 
 
 class TestProductSuperlevel:
-    @given(
-        case=product_field_cases(),
-        kind=st.sampled_from(["zero", "one", "above", "attained", "dyadic"]),
-        j=st.integers(0, 1 << 8),
-        e=st.integers(0, 12),
-    )
+    @given(case=product_field_cases())
     # three full 16-cell axes: each uint8 factor is 2^4, and their product
     # 2^12 wraps to 0 unless the oracle multiplies in Python ints
     @example(
         case=([BitMask(GridSpec((0,), (4,)), (np.ones(16, dtype=bool),))] * 3, [[4]] * 3),
-        kind="one", j=0, e=0,
     )
     @settings(max_examples=80, deadline=None)
-    def test_against_the_outer_product(self, case, kind, j, e):
+    def test_against_the_outer_product(self, case):
         masks, exps = case
         fields = [
             maximal_field(mask, [Shape((a,)) for a in ex])
@@ -730,18 +732,6 @@ class TestProductSuperlevel:
         ]
         num = reduce(np.multiply.outer, [f.num.astype(object) for f in fields])
         D = sum(f.denom_exp for f in fields)
-        thr = {
-            "zero": DyadicRational(0, 0),
-            "one": DyadicRational(1, 0),
-            "above": DyadicRational(int(num.max()) + 1, -D),
-            "attained": DyadicRational(int(num.flat[j % num.size]), -D),
-            "dyadic": DyadicRational(j, -e),
-        }[kind]
-        count = int((num >= math.ceil(thr.as_fraction() * (1 << D))).sum())
-        res = sum(mask.grid.resolution[0] for mask in masks)
-        assert product_superlevel_measure(fields, thr) == DyadicRational(count, res)
-        if kind == "above":
-            assert count == 0
         # the outer product is the dense field of the product set over
         # the product shape set
         grid = GridSpec(
@@ -753,6 +743,95 @@ class TestProductSuperlevel:
             BitMask(grid, (values,)), [Shape(s) for s in iproduct(*exps)]
         )
         assert dense.denom_exp == D and np.array_equal(dense.num, num)
+
+
+@st.composite
+def class_fields(draw):
+    """One to three fields on one grid of one to three axes and at most
+    2^10 cells, and a count threshold for the first.  Every term of every
+    field splits the axes into the same runs of consecutive axes: one run
+    per axis, one in all, or between.  Each field has one to four terms,
+    either of bool factors over the denominator 2^0, or of unsigned
+    factors in min_scalar_type(2^D) whose values on factor j are at most
+    2^e_j, with D at least the sum of the e_j, so every product of a
+    term's factors is an average."""
+    n = draw(st.integers(1, 3))
+    ks, spare = [], 10
+    for _ in range(n):
+        ks.append(draw(st.integers(0, spare)))
+        spare -= ks[-1]
+    grid = GridSpec((0,) * n, tuple(ks))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    shapes = [grid.shape[a:b] for a, b in zip(bounds, bounds[1:])]
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            D, dtype, elements = 0, bool, [st.booleans()] * len(shapes)
+        else:
+            exps = [draw(st.integers(0, 4)) for _ in shapes]
+            D = sum(exps) + draw(st.integers(0, 2))
+            dtype = np.min_scalar_type(1 << D)
+            elements = [st.integers(0, 1 << e) for e in exps]
+        terms = tuple(
+            tuple(
+                draw(hnp.arrays(dtype, shape, elements=el))
+                for shape, el in zip(shapes, elements)
+            )
+            for _ in range(draw(st.integers(1, 4)))
+        )
+        fields.append(AverageField(grid, terms, D))
+    return fields, draw(st.integers(0, (1 << fields[0].denom_exp) + 1))
+
+
+class TestValueClasses:
+    @given(case=class_fields())
+    @settings(max_examples=150, deadline=None)
+    def test_against_dense_enumeration(self, case):
+        # per cell, the vector of every term's product: the distinct
+        # vectors and their cell counts, enumerated over the dense grid,
+        # are those of the class pairs weighted by their cell counts
+        fields, c = case
+        grid = fields[0].grid
+        (rows, counts), (last, last_counts) = value_classes(*fields)
+        for fld, r, q in zip(fields, rows, last):
+            assert r.dtype == q.dtype == np.min_scalar_type(1 << fld.denom_exp)
+            assert len(r) == len(q) == len(fld.terms)
+        weights = np.multiply.outer(counts, last_counts)
+        assert int(weights.sum()) == grid.ncells
+        pairs = np.concatenate([
+            (r.astype(np.int64)[:, :, None] * q[:, None, :]).reshape(len(r), -1)
+            for r, q in zip(rows, last)
+        ])
+        got, inverse = np.unique(pairs, axis=1, return_inverse=True)
+        got_counts = np.zeros(got.shape[1], np.int64)
+        np.add.at(got_counts, inverse.ravel(), weights.ravel())
+        dense = np.stack([
+            reduce(np.multiply.outer, [f.astype(np.int64) for f in t]).ravel()
+            for fld in fields for t in fld.terms
+        ])
+        want, want_counts = np.unique(dense, axis=1, return_counts=True)
+        assert np.array_equal(got, want) and np.array_equal(got_counts, want_counts)
+        # the first field's superlevel set at count c, on the class pairs
+        T = len(fields[0].terms)
+        field = reduce(np.maximum, map(np.multiply.outer, rows[0], last[0]))
+        level = int(weights[field >= c].sum())
+        assert level == int((dense[:T].max(axis=0) >= c).sum())
+
+    def test_one_grid_and_one_layout(self):
+        grid = GridSpec((0, 0), (1, 1))
+        per_axis = AverageField(grid, ((np.ones(2, np.uint8),) * 2,), 0)
+        one = AverageField(grid, ((np.ones((2, 2), np.uint8),),), 0)
+        other_grid = AverageField(GridSpec((1, 1), (2, 2)), per_axis.terms, 0)
+        assert len(value_classes(per_axis, per_axis)[0][0]) == 2
+        for fields in [
+            (per_axis, one),
+            (AverageField(grid, per_axis.terms + one.terms, 0),),
+            (per_axis, other_grid),
+            (),
+        ]:
+            with pytest.raises(ParameterError, match="one grid and one factor layout"):
+                value_classes(*fields)
 
 
 def assert_matches_naive_oracle(shapes):

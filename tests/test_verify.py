@@ -34,10 +34,10 @@ from dyadicmax.evaluator import (
     maximal_field,
     rasterize,
     superlevel_mask,
+    value_classes,
 )
 from dyadicmax.verify import (
     CSV_COLUMNS,
-    _class_measure,
     _first_below,
     build_instance,
     check_disjointness,
@@ -151,54 +151,61 @@ class TestHomogeneity:
         assert peak < inst.grid.ncells // 8
 
     def test_ratio_not_a_power_of_two_raises(self, monkeypatch):
-        # one extra cell outside E keeps E ⊂ Y(i), but |Y(i)| is then
-        # 2^k |E| plus one cell, not a power of two times |E|
+        # Y(1) is 2 x 2 cells and E one cell; one more cell on Y(1)'s
+        # first axis keeps E ⊂ Y(1), but |Y(1)| is then 3 x 2 cells, not
+        # a power of two times |E|
         inst = build_instance(2, range(3))
-        i = inst.indices[-1]
+        i = inst.indices[1]
         mask_E = rasterize(inst.E, inst.grid)
 
-        def one_extra_cell(Y, grid):
+        def one_extra_entry(Y, grid):
             mask = rasterize(Y, grid)
             if Y is inst.Y[i]:
-                values = mask.values.copy()
-                values.flat[np.flatnonzero(~values)[0]] = True
-                mask = BitMask(grid, (values,))
+                first, *rest = mask.factors
+                first = first.copy()
+                first[np.flatnonzero(~first)[0]] = True
+                mask = BitMask(grid, (first, *rest))
             return mask
 
-        monkeypatch.setattr(dyadicmax.verify, "rasterize", one_extra_cell)
+        monkeypatch.setattr(dyadicmax.verify, "rasterize", one_extra_entry)
         with pytest.raises(ConstructionError, match="power of two"):
             check_homogeneity(inst, i, mask_E)
 
     def test_cell_of_E_outside_Y_is_the_witness(self, monkeypatch):
-        # drop the last cell of E from Y(i): E ⊂ Y(i) fails there
-        inst = build_instance(2, range(3))
+        # drop the last entry of E's first axis from Y(i)'s: E ⊂ Y(i)
+        # fails on that line of cells, first at E's first entry on the
+        # other axis
+        inst = build_instance(2, range(0, 6, 2))
         i = inst.indices[-1]
         mask_E = rasterize(inst.E, inst.grid)
-        last = np.argwhere(mask_E.values)[-1]
+        x0, x1 = (np.flatnonzero(f) for f in mask_E.factors)
 
-        def one_cell_missing(Y, grid):
-            mask = rasterize(Y, grid)
-            values = mask.values.copy()
-            values[tuple(last)] = False
-            return BitMask(grid, (values,))
+        def one_entry_missing(Y, grid):
+            first, *rest = rasterize(Y, grid).factors
+            first = first.copy()
+            first[x0[-1]] = False
+            return BitMask(grid, (first, *rest))
 
-        monkeypatch.setattr(dyadicmax.verify, "rasterize", one_cell_missing)
+        monkeypatch.setattr(dyadicmax.verify, "rasterize", one_entry_missing)
         r = check_homogeneity(inst, i, mask_E)
         assert not r.passed and r.k == -1
-        assert r.counterexample == tuple(int(v) for v in last)
+        assert r.counterexample == (int(x0[-1]), int(x1[0]))
 
+    def test_masks_and_fields_of_another_layout_raise(self, monkeypatch):
+        # E as one dense factor, or an R(i) field of one dense term
+        inst = build_instance(2, range(3))
+        i = inst.indices[0]
+        mask_E = rasterize(inst.E, inst.grid)
+        with pytest.raises(ParameterError, match="one 1D factor per grid axis"):
+            check_homogeneity(inst, i, BitMask(inst.grid, (mask_E.values,)))
 
-def dense_copy(mask):
-    """The mask's cells as its own single factor, without its per-axis ones."""
-    return BitMask(mask.grid, (mask.values.copy(),))
+        def dense(mask, shapes):
+            fld = maximal_field(mask, shapes)
+            return AverageField(fld.grid, ((fld.num,),), fld.denom_exp)
 
-
-def densely_rasterized(monkeypatch):
-    """Make verify's rasterize return dense copies, so every check runs
-    its dense path."""
-    monkeypatch.setattr(
-        dyadicmax.verify, "rasterize", lambda Y, grid: dense_copy(rasterize(Y, grid))
-    )
+        monkeypatch.setattr(dyadicmax.verify, "maximal_field", dense)
+        with pytest.raises(ParameterError, match="one 1D factor per grid axis"):
+            check_homogeneity(inst, i, mask_E)
 
 
 def lacking_part_of_E(inst, i):
@@ -213,8 +220,8 @@ def lacking_part_of_E(inst, i):
 class TestHomogeneityOnProductMasks:
     """check_homogeneity reads a rasterized mask's cells through its
     per-axis factors and takes a witness from the entries it read; the
-    same call on dense copies, and the first failing cell of a pass over
-    the dense grid, are the oracles."""
+    dense oracle's `homogeneity`, and the first failing cell of a pass
+    over the dense grid, are the oracles."""
 
     @given(inst=small_instances(), variant=st.sampled_from(["built", "one_cell_R", "Y_lacks_E"]))
     @settings(max_examples=60, deadline=None)
@@ -231,11 +238,7 @@ class TestHomogeneityOnProductMasks:
         mask_E = rasterize(inst.E, inst.grid)
         got = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
         union_Y = check_disjointness(inst).union_Y
-        with pytest.MonkeyPatch.context() as mp:
-            densely_rasterized(mp)
-            want = [check_homogeneity(inst, i, dense_copy(mask_E)) for i in inst.indices]
-            assert check_disjointness(inst).union_Y == union_Y
-        assert got == want == [homogeneity(inst, i, mask_E) for i in inst.indices]
+        assert got == [homogeneity(inst, i, mask_E) for i in inst.indices]
         assert union_Y == BitMask(inst.grid, (union_Y_mask(inst),)).measure()
         if variant == "one_cell_R":
             assert not any(r.passed for r in got)
@@ -251,35 +254,40 @@ class TestHomogeneityOnProductMasks:
                 bad = Y & ~superlevel_mask(fld, DyadicRational.pow2(-r.k))
             assert r.counterexample == tuple(int(v) for v in np.argwhere(bad)[0])
 
-    @pytest.mark.parametrize("which", [(0,), (-1,), (-1, 1)], ids=["0", "-1", "-1,1"])
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_cell_below_the_threshold_is_the_witness(self, monkeypatch, which, dense):
-        # lower the first, the last, or the last and the second cell of
-        # Y(i), in lexicographic order, below the threshold: the witness
-        # is the first lowered cell in that order
+    @pytest.mark.parametrize(
+        "lowered", [((0, 0),), ((1, -1),), ((0, -1), (1, 1))], ids=["0", "-1", "-1,1"]
+    )
+    def test_cell_below_the_threshold_is_the_witness(self, monkeypatch, lowered):
+        # zero the R(i) field's factor entry on axis 0 or 1 at that
+        # coordinate of the first, the last, or the last and the second
+        # cell of Y(i) in C order: every cell of Y(i) on a zeroed line
+        # falls below the threshold, and the witness is the first of them
         inst = build_instance(2, range(0, 6, 2))
         i = inst.indices[1]
-        Y_cells = np.argwhere(rasterize(inst.Y[i], inst.grid).values)
-        cells = [tuple(int(v) for v in Y_cells[w]) for w in which]
+        mask_Y = rasterize(inst.Y[i], inst.grid)
+        Y_cells = np.argwhere(mask_Y.values)
+        lines = [(ax, int(Y_cells[w][ax])) for ax, w in lowered]
 
-        def cells_lowered(mask, shapes):
+        def lines_lowered(mask, shapes):
             fld = maximal_field(mask, shapes)
-            num = fld.num.copy()
-            for cell in cells:
-                num[cell] = 0
-            return AverageField(fld.grid, ((num,),), fld.denom_exp)
+            (term,) = fld.terms
+            term = [f.copy() for f in term]
+            for ax, x in lines:
+                term[ax][x] = 0
+            return AverageField(fld.grid, (tuple(term),), fld.denom_exp)
 
-        monkeypatch.setattr(dyadicmax.verify, "maximal_field", cells_lowered)
+        monkeypatch.setattr(dyadicmax.verify, "maximal_field", lines_lowered)
         mask_E = rasterize(inst.E, inst.grid)
-        if dense:
-            densely_rasterized(monkeypatch)
-            mask_E = dense_copy(mask_E)
         r = check_homogeneity(inst, i, mask_E)
         assert not r.passed and r.k == inst.m - 1
-        assert r.counterexample == min(cells)
+        # a line's first cell of Y(i) takes Y(i)'s first entry off the line
+        first = [int(v) for v in Y_cells[0]]
+        want = min(tuple(x if a == ax else first[a] for a in range(2)) for ax, x in lines)
+        fld = lines_lowered(mask_E, [inst.R[i]])
+        bad = mask_Y.values & ~superlevel_mask(fld, DyadicRational.pow2(-r.k))
+        assert r.counterexample == want == tuple(int(v) for v in np.argwhere(bad)[0])
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_product_Y_lacking_part_of_E(self, monkeypatch, dense):
+    def test_product_Y_lacking_part_of_E(self, monkeypatch):
         inst = build_instance(2, range(0, 6, 2))
         i = inst.indices[0]
         Y = lacking_part_of_E(inst, i)
@@ -289,12 +297,9 @@ class TestHomogeneityOnProductMasks:
         assert len(outside) > 1
 
         def swapped(C, grid):
-            mask = rasterize(Y if C is inst.Y[i] else C, grid)
-            return dense_copy(mask) if dense else mask
+            return rasterize(Y if C is inst.Y[i] else C, grid)
 
         monkeypatch.setattr(dyadicmax.verify, "rasterize", swapped)
-        if dense:
-            mask_E = dense_copy(mask_E)
         r = check_homogeneity(inst, i, mask_E)
         assert (r.k, r.passed) == (-1, False)
         assert r.counterexample == tuple(int(v) for v in outside[0])
@@ -444,10 +449,11 @@ class TestClassPathAgainstTheDensePipeline:
 
     @pytest.mark.parametrize("cut", ["first_shape", "one_cell"])
     def test_uncovered_cell_of_a_Y_fails_inclusion(self, monkeypatch, cut):
-        # the family field of its first generator alone, read per axis;
-        # or the full field with the last cell of ∪Y(i) lowered to 0,
-        # read as one dense factor: either leaves a cell of some Y(i)
-        # outside the superlevel set, which the dense mask of ∪Y(i) finds
+        # the family field of its first generator alone; or the full
+        # field with the entry of the last cell of ∪Y(i) zeroed on the
+        # first axis of the one term that reaches the threshold there:
+        # either leaves a cell of some Y(i) outside the superlevel set,
+        # which the dense mask of ∪Y(i) finds
         n, A, m = 2, range(0, 8, 2), 4
         inst = build_instance(n, find_progression(A, m))
         union = union_Y_mask(inst)
@@ -461,9 +467,10 @@ class TestClassPathAgainstTheDensePipeline:
             if cut == "first_shape":
                 return real(mask, shapes[:1])
             fld = real(mask, shapes)
-            num = fld.num.copy()
-            num[last] = 0
-            return AverageField(fld.grid, ((num,),), fld.denom_exp)
+            *rest, (first, other) = fld.terms
+            first = first.copy()
+            first[last[0]] = 0
+            return AverageField(fld.grid, (*rest, (first, other)), fld.denom_exp)
 
         monkeypatch.setattr(dyadicmax.verify, "maximal_field", family_cut)
         rep = verify_theorem(n, A, m)
@@ -475,7 +482,11 @@ class TestClassPathAgainstTheDensePipeline:
         assert (union & ~lvl).any()
         assert rep.superlevel == BitMask(inst.grid, (lvl,)).measure()
         if cut == "one_cell":
-            assert np.argwhere(union & ~lvl).tolist() == [list(last)]
+            # the last generator's term alone reaches the threshold at the
+            # last cell of ∪Y(i), which zeroing its line puts outside
+            uncovered = np.argwhere(union & ~lvl).tolist()
+            assert list(last) in uncovered
+            assert {x for x, _ in uncovered} == {last[0]}
 
 
 @st.composite
@@ -512,12 +523,17 @@ def test_first_below_is_the_first_failing_cell(case):
 
 
 def test_class_counts_past_int64():
-    # one class of 2^32 cells on each axis of a 2^64-cell grid: the count
-    # 2^64 passes int64, so it is summed in Python ints
-    grid = GridSpec((0, 0), (32, 32), budget=1 << 70)
-    counts = (np.array([1 << 32]), np.array([1 << 32]))
-    selected = np.ones((1, 1), bool)
-    assert _class_measure(grid, selected, counts) == DyadicRational(1, 64)
+    # the 2^64 cells of 32 axes of 4 cells, each factor 0 on one cell and
+    # 1 on three: the fold's classes hold 3^31 cells of product 1 and
+    # 4^31 - 3^31 of product 0, counts past int64, in Python ints
+    grid = GridSpec((0,) * 32, (2,) * 32, budget=1 << 70)
+    axis = np.array([0, 1, 1, 1], np.uint8)
+    (rows, counts), (last, last_counts) = value_classes(
+        AverageField(grid, ((axis,) * 32,), 0)
+    )
+    assert counts.dtype == object and all(type(c) is int for c in counts)
+    assert dict(zip(rows[0][0].tolist(), counts)) == {0: 4**31 - 3**31, 1: 3**31}
+    assert last[0][0].tolist() == [0, 1] and last_counts.tolist() == [1, 3]
 
 
 class TestPastTheDenseFrontier:
@@ -790,6 +806,13 @@ class TestCubeClosedForms:
         assert cube_counterexample(3, m).ratio == Fraction(
             m * m + 7 * m + 8, 8 * m * m
         )
+
+    def test_n40_m2_past_64_bits(self):
+        # the 2^80-cell grid: products up to 2^80 and class counts past
+        # 2^63, both in Python ints
+        rep = cube_counterexample(40, 2, budget=1 << 90)
+        assert rep.ratio == Fraction(self.T_coefficient(40, 2), 2**39 * 2**2)
+        assert rep.ratio == Fraction(901, 2**41)
 
     def test_n29_m1(self):
         # the default budget admits the 2^29-cell grid; T_n(1) = n + 1
