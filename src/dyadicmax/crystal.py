@@ -6,20 +6,24 @@ scale a_1, ..., a_(m-1); the oscillation at scale a keeps the lower half
 [0, 2^a) of every period of length 2^(a+1).  Each oscillation halves the
 measure exactly, so the crystal has measure 2^(a_m - (m-1)).  A crystal
 is kept symbolic; ``Crystal1D.cells`` materializes it as one boolean axis
-at a grid resolution by applying that rule directly.  An n-dimensional
-crystal is a Cartesian product of one-dimensional ones, rasterized in
-the evaluator.
+at a grid resolution by applying that rule directly.  Each axis is built
+once per crystal and grid axis: the crystal keeps it, read-only, in a
+memo that lives as long as the crystal and takes no part in equality or
+hashing, and the halving law is checked against the axis's cell count
+once, when it is built.  An n-dimensional crystal is a Cartesian product
+of one-dimensional ones, rasterized in the evaluator from these axes, so
+products that share a factor object share its axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 
 import numpy as np
 
 from .dyadic import DyadicRational
-from .errors import ParameterError
+from .errors import ConstructionError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class ScaleSet:
 @dataclass(frozen=True)
 class Crystal1D:
     scales: ScaleSet
+    # the axes built so far, by (resolution, ncells)
+    _axes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def measure_exponent(self) -> int:
@@ -60,9 +66,25 @@ class Crystal1D:
         return DyadicRational.pow2(self.measure_exponent)
 
     def cells(self, resolution: int, ncells: int) -> np.ndarray:
-        """Boolean axis of ``ncells`` cells of size 2^resolution from 0:
-        the interval [0, 2^max), then the upper half of every 2^(a+1)
-        period dropped for each finer scale a."""
+        """Read-only boolean axis of ``ncells`` cells of size 2^resolution
+        from 0, built on the first call for these arguments and kept;
+        `ConstructionError` if its cell count breaks the halving law."""
+        key = (resolution, ncells)
+        axis = self._axes.get(key)
+        if axis is None:
+            axis = self._axis(resolution, ncells)
+            # 2^(max - (m-1)) / 2^resolution cells; max - (m-1) >= min >= resolution
+            if np.count_nonzero(axis) != 1 << (self.measure_exponent - resolution):
+                raise ConstructionError(
+                    "rasterized measure differs from the crystal measure"
+                )
+            axis.flags.writeable = False
+            self._axes[key] = axis
+        return axis
+
+    def _axis(self, resolution: int, ncells: int) -> np.ndarray:
+        """The axis of `cells`, built: the interval [0, 2^max), then the
+        upper half of every 2^(a+1) period dropped for each finer scale a."""
         *finer, top = scales = self.scales.scales
         r = resolution
         if r > scales[0]:

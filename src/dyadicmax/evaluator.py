@@ -14,17 +14,24 @@ that holds the common numerator 2^D.
 
 A mask is the outer AND of its factors, bool arrays whose shapes
 concatenate to the grid's: one array for an arbitrary set, or, as
-`rasterize` builds it, one 1D axis per grid axis for a product crystal.
-Measure, support box and the prefix tables (one per factor, in the
-kernel's type) are each one formula over the factors, and so is a
-shape's field: the outer product of its factors' fields.  A field
-(`AverageField`) is held the same way, as the maximum over terms of the
-outer product of each term's factors.  On a mask of one factor the
-shapes fold into one running maximum, a dense field of one term; on a
-mask of several factors each shape is a term of its own, each factor
-zero outside the shape's reach, so with 1D factors the kernel builds no
-grid-sized array.  A field's `num` is built on first read, a mask's
-`values` on each read.  Masks and fields compare by identity.
+`rasterize` builds it, one read-only 1D axis per grid axis for a
+product crystal.  Each axis comes from the crystal's memo
+(`Crystal1D.cells`), built and checked against the halving law once
+per crystal, so `rasterize` checks no measure of its own, and crystals
+that share a factor object share its axis.  Measure, support box and
+the prefix tables (one per factor, in the kernel's type) are each one
+formula over the factors, worked once per distinct factor object, and
+so is a shape's field: the outer product of its factors' fields.
+Within one `maximal_field` call each factor field is built once per
+factor object, window, reach and shift, and terms share it read-only.
+A field (`AverageField`) is held the same way, as the maximum over
+terms of the outer product of each term's factors.  On a mask of one
+factor the shapes fold into one running maximum, a dense field of one
+term; on a mask of several factors each shape is a term of its own,
+each factor zero outside the shape's reach, so with 1D factors the
+kernel builds no grid-sized array.  A field's `num` and a mask's
+`values` are built on each read, so neither goes stale.  Masks and
+fields compare by identity.
 
 Such fields are counted over value classes of cells (`value_classes`),
 the cells of a factor axis that every term holds alike, with the axes
@@ -46,9 +53,9 @@ from operator import index
 
 import numpy as np
 
-from .crystal import CrystalND, Shape, crystal_measure
+from .crystal import CrystalND, Shape
 from .dyadic import DyadicRational
-from .errors import BudgetExceededError, ConstructionError, ParameterError
+from .errors import BudgetExceededError, ParameterError
 
 DEFAULT_CELL_BUDGET = 1 << 30
 
@@ -178,38 +185,47 @@ class AverageField:
                 f"shapes concatenate to {self.grid.shape}"
             )
 
-    @cached_property
+    @property
     def num(self) -> np.ndarray:
-        """The dense field, built on first read: a dense field's one factor
+        """The dense field, built on each read: a dense field's one factor
         itself, else the maximum of the terms' outer products."""
         return reduce(np.maximum, (reduce(np.multiply.outer, t) for t in self.terms))
 
 
 def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
-    """Product-crystal bit mask; popcount times cell volume equals the
-    symbolic crystal measure exactly."""
+    """Product-crystal bit mask over each factor's read-only axis
+    (`Crystal1D.cells`, built once per crystal and checked against the
+    halving law then), so popcount times cell volume equals the symbolic
+    crystal measure exactly."""
     if E.dimension != grid.dimension:
         raise ParameterError("crystal/grid dimension mismatch")
-    axes = tuple(
+    return BitMask(grid, tuple(
         c.cells(r, n) for c, r, n in zip(E.factors, grid.resolution, grid.shape)
-    )
-    for a in axes:  # so the factors cannot go stale
-        a.flags.writeable = False
-    mask = BitMask(grid, axes)
-    if mask.measure() != crystal_measure(E):
-        raise ConstructionError("rasterized measure differs from the crystal measure")
-    return mask
+    ))
 
 
 def prefix_sums(mask: BitMask, dtype=np.int64) -> list[np.ndarray]:
-    """One zero-padded prefix table per factor, in dtype: entry i of a
-    factor's table holds the count of its set cells in the half-open box
-    [0, i), modulo 2^bits for a dtype too narrow to hold it.
+    """One zero-padded, read-only prefix table per factor, in dtype: entry
+    i of a factor's table holds the count of its set cells in the
+    half-open box [0, i), modulo 2^bits for a dtype too narrow to hold
+    it.  A factor object on several axes has one table, built once.
 
     The box [0, i) of a product set meets it in the product of its
     factors' parts, so the mask's table is the outer product of these;
     it is never built."""
-    return [_cumulative(f, dtype) for f in mask.factors]
+    tables = _per_object(mask.factors, lambda f: _cumulative(f, dtype))
+    for P in tables:
+        P.flags.writeable = False
+    return tables
+
+
+def _per_object(factors, build) -> list:
+    """build(f) for each factor, called once per distinct object."""
+    built = {}
+    for f in factors:
+        if id(f) not in built:
+            built[id(f)] = build(f)
+    return [built[id(f)] for f in factors]
 
 
 def _cumulative(values: np.ndarray, dtype) -> np.ndarray:
@@ -246,15 +262,19 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
 
 def _support_box(mask: BitMask) -> list[tuple[int, int]] | None:
     """Per axis, the first and last index of a set cell, from one `any`
-    reduction per axis of each factor; None for an empty mask."""
-    box = []
-    for f in mask.factors:
+    reduction per axis of each distinct factor object; None for an empty
+    mask."""
+    def bounds(f):
+        out = []
         for ax in range(f.ndim):
             hits = f.any(axis=tuple(a for a in range(f.ndim) if a != ax)).nonzero()[0]
             if not hits.size:
                 return None
-            box.append((int(hits[0]), int(hits[-1])))
-    return box
+            out.append((int(hits[0]), int(hits[-1])))
+        return out
+
+    per_factor = _per_object(mask.factors, bounds)
+    return None if None in per_factor else [b for fb in per_factor for b in fb]
 
 
 def _window_maxima(S: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
@@ -303,7 +323,11 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     factors' fields, each taken on the factor's own axes from the
     factor's own prefix table.  On a mask of several factors, each shape
     is one term of the returned field: its factors' fields, each padded
-    with zeros outside the reach.  On a mask of one factor, the shapes
+    with zeros outside the reach.  A factor field depends only on the
+    factor, its window, its reach and, for the first factor, the shift
+    below, so it is built once per key in a call and is read-only: the
+    n - 1 identical X axes of E, or a side that several shapes share,
+    reuse one array.  On a mask of one factor, the shapes
     fold into one dense field: each shape's field is maxed into a
     zero-filled field on its reach, except that a first shape whose
     reach is the whole grid is the running maximum itself, so a mask
@@ -341,44 +365,55 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     if box is None:
         zero = tuple(np.zeros(f.shape, dt) for f in mask.factors)
         return AverageField(grid, (zero,), D)
-    tables = prefix_sums(mask, dt)
-    axes = []  # the grid axes of each factor
-    for f in mask.factors:
-        start = axes[-1].stop if axes else 0
-        axes.append(slice(start, start + f.ndim))
+    layout, start = [], 0  # each factor, its prefix table and its grid axes
+    for f, P in zip(mask.factors, prefix_sums(mask, dt)):
+        layout.append((id(f), f.shape, P, slice(start, start + f.ndim)))
+        start += f.ndim
     dims = grid.shape
+    share = len(layout) > 1  # else the shapes fold into one field
+    fields = {}  # factor fields by factor object, window, reach and shift
     terms = []
     for shape, window in zip(shapes, windows):
         # per axis the reach [a0, a1 + w) of the anchors [a0, a1] whose
         # windows meet the support box; their counts need P[a0 : a1 + w + 1]
-        reach = tuple(
-            slice(max(0, lo - w + 1), min(hi, N - w) + w)
+        ends = tuple(
+            (max(0, lo - w + 1), min(hi, N - w) + w)
             for (lo, hi), w, N in zip(box, window, dims)
         )
-        crop = tuple(slice(r.start, r.stop + 1) for r in reach)
-        parts = [
-            _window_maxima(_placement_counts(P[crop[ax]], window[ax]), window[ax])
-            for P, ax in zip(tables, axes)
-        ]
-        parts[0] <<= D - (shape.volume_exponent - grid.cell_volume_exponent)
-        if len(parts) == 1 and terms:  # fold into the running maximum
+        reach = tuple(slice(a, b) for a, b in ends)
+        crop = tuple(slice(a, b + 1) for a, b in ends)
+        fold = not share and bool(terms)  # into the running maximum
+        shift = D - (shape.volume_exponent - grid.cell_volume_exponent)
+        term = []  # the shape's factors: zero outside the reach, or the reach to fold
+        for fid, fshape, P, ax in layout:
+            key = (fid, window[ax], ends[ax], shift)
+            S = fields.get(key)
+            if S is None:
+                S = _window_maxima(_placement_counts(P[crop[ax]], window[ax]), window[ax])
+                if shift:
+                    S <<= shift
+                if not fold and S.shape != fshape:
+                    S, inner = np.zeros(fshape, dt), S
+                    S[reach[ax]] = inner
+                if share:  # terms may share it, so it is read-only
+                    S.flags.writeable = False
+                    fields[key] = S
+            term.append(S)
+            shift = 0  # folded into the first factor only
+        if fold:
             (out,) = terms[0]
             part = out[reach]
-            np.maximum(part, parts[0], out=part)
-            continue
-        term = []  # the shape's factors, each zero outside the reach
-        for S, f, ax in zip(parts, mask.factors, axes):
-            if S.shape != f.shape:
-                S, inner = np.zeros(f.shape, dt), S
-                S[reach[ax]] = inner
-            term.append(S)
-        terms.append(tuple(term))
+            np.maximum(part, term[0], out=part)
+        else:
+            terms.append(tuple(term))
     return AverageField(grid, tuple(terms), D)
 
 
 def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
-    """Smallest integer c with c * 2^(-denom_exp) >= threshold."""
-    return math.ceil(threshold.as_fraction() * (1 << denom_exp))
+    """Smallest integer c with c * 2^(-denom_exp) >= threshold, that is
+    the ceiling of mantissa * 2^(exponent + denom_exp)."""
+    e = threshold.exponent + denom_exp
+    return threshold.mantissa << e if e >= 0 else -(-threshold.mantissa >> -e)
 
 
 def superlevel_mask(fieldobj: AverageField, threshold: DyadicRational) -> np.ndarray:
@@ -427,9 +462,12 @@ def value_classes(*fields: AverageField):
 def _distinct_columns(blocks, weights=None):
     """The distinct columns of row blocks of one width, each block's rows
     at them, and the summed weights (by default, the number) of each
-    distinct column's copies."""
+    distinct column's copies.  The list blocks is sorted in place, a
+    block at a time, so each unsorted block is freed before the next is
+    sorted, unless the caller holds it."""
     order = np.lexsort([row for block in blocks for row in block])
-    blocks = [block.take(order, axis=1) for block in blocks]
+    for k in range(len(blocks)):
+        blocks[k] = blocks[k].take(order, axis=1)
     edges = np.zeros(order.size + 1, bool)  # where a run of equal columns starts or ends
     edges[0] = edges[-1] = True
     for block in blocks:

@@ -15,8 +15,12 @@ R(i), and certifies on an exact grid that
     certified lower bound.
 
 E, every Y(i) and every R(i) are products, so the grid is never built.
-Each field of E is a maximum of outer products of per-axis factors, and
-each Y(i) is the outer AND of its axes.  The homogeneity check reads E,
+A run has 2m distinct axis crystals, X over each suffix u[j:] and Z
+over the last s+1 scales of -h; E and every Y(i) are tuples of those
+objects, so each axis is rasterized and checked once per run (the
+crystal keeps it) and every other `rasterize` is a lookup.  Each field
+of E is a maximum of outer products of per-axis factors, and each Y(i)
+is the outer AND of its axes.  The homogeneity check reads E,
 Y(i) and the R(i) field factor by factor, and refuses masks and fields
 of any other layout.  S, S_alt, |∪Y(i)| and the inclusion are counted
 over the value classes of the family field and of the indicator of
@@ -51,6 +55,7 @@ from operator import index
 import numpy as np
 
 from .crystal import (
+    Crystal1D,
     CrystalND,
     ScaleSet,
     Shape,
@@ -126,9 +131,11 @@ def build_instance(
     u0, d = u[0], u.step
     check_budget(n * (m - 1) * d, budget)  # grid.cells_exponent, before any n-tuple
     h = tuple((n - 1) * u0 + d * s for s in range(m))
-    X = ScaleSet(u)
-    Z = ScaleSet(tuple(-hs for hs in reversed(h)))
-    E = product_crystal(*[X] * (n - 1), Z)
+    # E and every Y(i) share these 2m axis crystals, so each axis is
+    # rasterized once per run
+    X = [Crystal1D(ScaleSet(u[j:])) for j in range(m)]
+    Z = [Crystal1D(ScaleSet(tuple(-hs for hs in h[s::-1]))) for s in range(m)]
+    E = CrystalND((X[0],) * (n - 1) + (Z[-1],))
     grid = GridSpec(
         (u0,) * (n - 1) + (-h[-1],), (u[-1],) * (n - 1) + (-h[0],), budget
     )
@@ -139,8 +146,7 @@ def build_instance(
     Y, R = {}, {}
     for i in indices:
         s = sum(i)
-        z_scales = ScaleSet(tuple(-hs for hs in reversed(h[: s + 1])))
-        Yi = product_crystal(*(ScaleSet(u[ik:]) for ik in i), z_scales)
+        Yi = CrystalND(tuple(X[ik] for ik in i) + (Z[s],))
         Ri = primitive_rectangle(Yi)
         expected = Shape(tuple(u[ik] for ik in i) + (-h[s],))
         if Ri != expected:

@@ -81,15 +81,16 @@ class TestBuildCrystal:
             assert 2 * kept == Crystal1D(whole).cells(A.min, n).sum()
 
     def test_broken_halving_law_raises(self, monkeypatch):
-        # a kernel that keeps one extra cell breaks the halving law
-        cells = Crystal1D.cells
+        # a kernel that keeps one extra cell breaks the halving law, which
+        # `cells` checks when it builds an axis
+        build = Crystal1D._axis
 
         def one_extra(self, resolution, ncells):
-            axis = cells(self, resolution, ncells)
+            axis = build(self, resolution, ncells)
             axis[np.flatnonzero(~axis)[0]] = True
             return axis
 
-        monkeypatch.setattr(Crystal1D, "cells", one_extra)
+        monkeypatch.setattr(Crystal1D, "_axis", one_extra)
         with pytest.raises(ConstructionError):
             rasterize(product_crystal(ScaleSet((0, 2))), GridSpec((0,), (2,)))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
@@ -226,15 +227,16 @@ class TestRasterize:
 
     def test_measure_mismatch_raises(self, monkeypatch):
         E = product_crystal(ScaleSet((0, 2)), ScaleSet((0, 1)))
-        # a kernel that drops one kept cell breaks the measure check
-        cells = Crystal1D.cells
+        # a kernel that drops one kept cell breaks the measure check, run
+        # when `cells` builds an axis
+        build = Crystal1D._axis
 
         def one_dropped(self, resolution, ncells):
-            axis = cells(self, resolution, ncells)
+            axis = build(self, resolution, ncells)
             axis[np.flatnonzero(axis)[-1]] = False
             return axis
 
-        monkeypatch.setattr(Crystal1D, "cells", one_dropped)
+        monkeypatch.setattr(Crystal1D, "_axis", one_dropped)
         with pytest.raises(ConstructionError):
             rasterize(E, GridSpec((0, 0), (2, 1)))
 
@@ -290,6 +292,14 @@ class TestBitMaskContract:
         grid, factors = case
         with pytest.raises(ParameterError, match="bool ndarray"):
             BitMask(grid, factors)
+
+    def test_field_num_follows_writes_to_the_factors(self):
+        # num is built on each read, as value_classes reads the factors
+        a, b = np.ones(2, np.uint8), np.ones(2, np.uint8)
+        f = AverageField(GridSpec((0, 0), (1, 1)), ((a, b),), 0)
+        assert f.num.sum() == 4
+        a[0] = 0
+        assert f.num.sum() == 2
 
     def test_values_follow_writes_to_the_factors(self):
         # values is built on each read, so it never goes stale
@@ -506,6 +516,46 @@ class TestFactoredMaskAnswers:
             assert np.array_equal(fld.num, want.num)
 
 
+@st.composite
+def repeated_factor_masks(draw):
+    """A mask of 2..4 1D factors drawn from a pool of one or two arrays
+    of one length (at most 4096 cells in all), so that one array object
+    lies on several axes, at mixed resolutions; and one to four shapes,
+    a shape or a side repeated among them."""
+    n, k = draw(st.integers(2, 4)), draw(st.integers(0, 3))
+    pool = draw(st.lists(hnp.arrays(bool, 1 << k), min_size=1, max_size=2))
+    picks = [0, 0] + draw(st.lists(st.integers(0, len(pool) - 1), min_size=n - 2,
+                                   max_size=n - 2))
+    picks = draw(st.permutations(picks))
+    res = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    grid = GridSpec(res, tuple(r + k for r in res))
+    exponent = [st.integers(r, r + k) for r in res]
+    rects = draw(st.lists(st.tuples(*exponent), min_size=1, max_size=3))
+    rects.append(draw(st.sampled_from(rects)))
+    return BitMask(grid, tuple(pool[j] for j in picks)), [Shape(r) for r in rects]
+
+
+class TestRepeatedFactors:
+    """A factor object on several axes, or a window shared across shapes,
+    gets one table and one field per key; the dense copy is the oracle."""
+
+    @given(case=repeated_factor_masks())
+    @settings(max_examples=80, deadline=None)
+    def test_against_the_dense_copy(self, case):
+        mask, shapes = case
+        fld = maximal_field(mask, shapes)
+        want = maximal_field(BitMask(mask.grid, (mask.values.copy(),)), shapes)
+        assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
+        assert np.array_equal(fld.num, want.num)
+        # every factor array that two term slots share is read-only
+        slots = Counter(id(f) for t in fld.terms for f in t)
+        for f in {id(f): f for t in fld.terms for f in t}.values():
+            assert slots[id(f)] == 1 or not f.flags.writeable
+        # one prefix table per factor object
+        tables = prefix_sums(mask)
+        assert len({id(P) for P in tables}) == len({id(f) for f in mask.factors})
+
+
 def assert_field_matches_naive(mask, rects):
     """The maximal field of the shapes with exponents `rects` against the
     brute-force oracle, which scans every overhanging anchor as well."""
@@ -517,9 +567,9 @@ def assert_field_matches_naive(mask, rects):
         tuple(1 << (e - r) for e, r in zip(rect, mask.grid.resolution))
         for rect in rects
     ]
-    want = naive_maximal(mask.values, windows)
+    want, num = naive_maximal(mask.values, windows), fld.num
     for idx in np.ndindex(*mask.grid.shape):
-        assert int(fld.num[idx]) * den == want[idx]
+        assert int(num[idx]) * den == want[idx]
     return fld
 
 

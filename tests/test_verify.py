@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dyadicmax
-from dyadicmax.crystal import ScaleSet, Shape, product_crystal
+from dyadicmax.crystal import Crystal1D, ScaleSet, Shape, product_crystal
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import (
     BudgetExceededError,
@@ -97,6 +97,41 @@ class TestBuildInstance:
             build_instance(2, range(1))
         with pytest.raises(ParameterError):
             build_instance(2, range(2, 0, -1))
+
+    @given(
+        n=st.integers(2, 5), d=st.integers(1, 3), u0=st.integers(-4, 4), m=st.integers(2, 5)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_Y_is_the_product_crystal_of_shared_axes(self, n, d, u0, m):
+        # each Y(i) equals the product crystal over the suffixes u[i_k:]
+        # and the last s+1 scales of -h by value, and E and all Y(i) are
+        # built from 2m axis crystal objects
+        u = range(u0, u0 + m * d, d)
+        inst = build_instance(n, u, budget=1 << 64)
+        h = [(n - 1) * u0 + d * s for s in range(m)]
+
+        def Z(s):
+            return ScaleSet(tuple(-hs for hs in reversed(h[: s + 1])))
+
+        assert inst.E == product_crystal(*[ScaleSet(u)] * (n - 1), Z(m - 1))
+        for i in inst.indices:
+            want = product_crystal(*(ScaleSet(u[ik:]) for ik in i), Z(sum(i)))
+            assert inst.Y[i] == want and hash(inst.Y[i]) == hash(want)
+        crystals = [inst.E, *inst.Y.values()]
+        assert len({id(c) for Y in crystals for c in Y.factors}) == 2 * m
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (4, 5)])
+    def test_each_axis_is_built_once_per_run(self, monkeypatch, n, m):
+        # 2m distinct axis crystals, each rasterized on one grid axis
+        build, built = Crystal1D._axis, []
+
+        def counted(self, resolution, ncells):
+            built.append((self.scales, resolution, ncells))
+            return build(self, resolution, ncells)
+
+        monkeypatch.setattr(Crystal1D, "_axis", counted)
+        assert verify_theorem(n, range(m), m).passed
+        assert len(built) == len(set(built)) == 2 * m
 
     def test_budget_is_checked_on_the_grid_exponent_first(self, monkeypatch):
         # the exponent build_instance refuses on, before it builds any
