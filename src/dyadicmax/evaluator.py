@@ -33,11 +33,12 @@ kernel builds no grid-sized array.  A field's `num` and a mask's
 `values` are built on each read, so neither goes stale.  Masks and
 fields compare by identity.
 
-Such fields are counted over value classes of cells (`value_classes`),
-the cells of a factor axis that every term holds alike, with the axes
-but the last folded into one: a maximum of outer products is one value
-per pair of classes.  `dyadicmax.verify` counts the unit cube's field,
-the theorem's family field and the indicator of ∪Y(i) this way.
+A field's superlevel measures (`superlevel_measure`) are counted over
+its value classes (`value_classes`), the cells of a factor axis that
+every term holds alike, with the axes but the last folded into one: a
+maximum of outer products is one value per pair of classes.
+`dyadicmax.verify` measures the cube's field, the family field and the
+indicator of ∪Y(i) this way, one field at a time.
 
 Only cell-aligned translates are enumerated and cells outside the
 bounding box count as zero, so every superlevel measure reported here
@@ -421,60 +422,66 @@ def superlevel_mask(fieldobj: AverageField, threshold: DyadicRational) -> np.nda
     return fieldobj.num >= _count_threshold(fieldobj.denom_exp, threshold)
 
 
-def value_classes(*fields: AverageField):
-    """Fields of one grid and one factor layout counted over classes of
-    cells: ((rows, counts), (last_rows, last_counts)), or ParameterError.
+def superlevel_measure(field: AverageField, *thresholds: DyadicRational) -> tuple:
+    """The exact measure of {field >= t}, one DyadicRational per
+    threshold t, counted over the field's value classes: on the grid of
+    class pairs the field is a maximum of outer products of class rows,
+    and each selected pair weighs the product of its classes' counts."""
+    (rows, counts), (last, last_counts) = value_classes(field)
+    values = reduce(np.maximum, map(np.multiply.outer, rows, last))
+    cuts = (_count_threshold(field.denom_exp, t) for t in thresholds)
+    unit = field.grid.cell_volume_exponent
+    return tuple(DyadicRational(int(counts @ (values >= c) @ last_counts), unit) for c in cuts)
+
+
+def value_classes(field: AverageField):
+    """A field of one factor layout counted over classes of cells:
+    ((rows, counts), (last_rows, last_counts)), or ParameterError.
 
     On each factor axis, the cells at which every term holds the same
     value form a class (one `np.lexsort` of the stacked term rows).  The
     axes but the last fold into one: each step multiplies the rows out
     over pairs of classes, merges equal columns and sums their cell
     counts, int64 below 2^63 cells and Python ints above.  rows holds a
-    block per field, a row per term in min_scalar_type(2^denom_exp), so a
-    field's value on the class pair (a, b) is the maximum over its terms
-    of rows[t, a] * last_rows[t, b], on counts[a] * last_counts[b] cells.
-    Products wrap modulo 2^bits, which leaves exact every full product
-    of a field, at most 2^denom_exp.  A set's indicator is a field of
-    bool factors over 2^0: its rows take a byte a cell, and `*` is AND."""
-    layouts = {tuple(f.shape for f in t) for fld in fields for t in fld.terms}
-    if len(layouts) != 1 or len({fld.grid for fld in fields}) != 1:
-        raise ParameterError("fields must share one grid and one factor layout")
-    dtypes = [np.min_scalar_type(1 << fld.denom_exp) for fld in fields]
+    row per term in min_scalar_type(2^denom_exp), so the field's value on
+    the class pair (a, b) is the maximum over its terms of
+    rows[t, a] * last_rows[t, b], on counts[a] * last_counts[b] cells.
+    Products wrap modulo 2^bits, which leaves exact every full product,
+    at most 2^denom_exp.  A set's indicator is a field of bool factors
+    over 2^0: its rows take a byte a cell, and `*` is AND."""
+    if len({tuple(f.shape for f in t) for t in field.terms}) != 1:
+        raise ParameterError("field terms must share one factor layout")
+    dt = np.min_scalar_type(1 << field.denom_exp)
     axes = []
-    for j in range(len(fields[0].terms[0])):
-        rows, counts = _distinct_columns(
-            [np.array([t[j].ravel() for t in fld.terms]) for fld in fields]
-        )
-        axes.append(([r.astype(dt, copy=False) for r, dt in zip(rows, dtypes)], counts))
-    cells = np.int64 if fields[0].grid.cells_exponent < 63 else object
-    rows = [np.ones((len(fld.terms), 1), dt) for fld, dt in zip(fields, dtypes)]
-    counts = np.ones(1, cells)
+    for j in range(len(field.terms[0])):
+        rows, counts = _distinct_columns(np.array([t[j].ravel() for t in field.terms]))
+        axes.append((rows.astype(dt, copy=False), counts))
+    cells = np.int64 if field.grid.cells_exponent < 63 else object
+    rows, counts = np.ones((len(field.terms), 1), dt), np.ones(1, cells)
     for step, size in axes[:-1]:
-        rows = [
-            (r[:, :, None] * s[:, None, :]).reshape(len(r), -1) for r, s in zip(rows, step)
-        ]
-        counts = np.multiply.outer(counts, size.astype(cells)).ravel()
-        if counts.size > size.size:  # merging only compresses; one class needs none
-            rows, counts = _distinct_columns(rows, counts)
+        if counts.size == 1:  # one class: merging would only compress
+            rows, counts = rows * step, counts * size.astype(cells)
+        else:  # the product goes straight in, so only its sorted copy outlives the sort
+            rows, counts = _distinct_columns(
+                (rows[:, :, None] * step[:, None, :]).reshape(len(rows), -1),
+                np.multiply.outer(counts, size.astype(cells)).ravel(),
+            )
     return (rows, counts), axes[-1]
 
 
-def _distinct_columns(blocks, weights=None):
-    """The distinct columns of row blocks of one width, each block's rows
-    at them, and the summed weights (by default, the number) of each
-    distinct column's copies.  The list blocks is sorted in place, a
-    block at a time, so each unsorted block is freed before the next is
-    sorted, unless the caller holds it."""
-    order = np.lexsort([row for block in blocks for row in block])
-    for k in range(len(blocks)):
-        blocks[k] = blocks[k].take(order, axis=1)
+def _distinct_columns(block, weights=None):
+    """The distinct columns of a row block, the block's rows at them, and
+    the summed weights (by default, the number) of each distinct column's
+    copies.  The sorted copy replaces the block, so an unsorted block
+    the caller does not hold is freed before the runs are found."""
+    order = np.lexsort(block)
+    block = block.take(order, axis=1)
     edges = np.zeros(order.size + 1, bool)  # where a run of equal columns starts or ends
     edges[0] = edges[-1] = True
-    for block in blocks:
-        edges[1:-1] |= np.logical_or.reduce(block[:, 1:] != block[:, :-1])
+    edges[1:-1] = np.logical_or.reduce(block[:, 1:] != block[:, :-1])
     bounds = np.flatnonzero(edges)
     first = bounds[:-1]
-    rows = [block.take(first, axis=1) for block in blocks]
+    rows = block.take(first, axis=1)
     if weights is None:
         return rows, bounds[1:] - first
     return rows, np.add.reduceat(weights[order], first)

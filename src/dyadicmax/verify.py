@@ -10,9 +10,9 @@ R(i), and certifies on an exact grid that
     over translates of R(i);
   * the R(i) are independent (each keeps a positive fraction of its
     volume away from the others) and the Y(i) overlap boundedly;
-  * the union of the Y(i) sits inside the aligned superlevel set of the
-    full family maximal field, so the reported superlevel measure is a
-    certified lower bound.
+  * every Y(i) sits inside the aligned superlevel set of its R(i)'s term
+    of the family maximal field, hence so does their union, and the
+    reported superlevel measure is a certified lower bound.
 
 E, every Y(i) and every R(i) are products, so the grid is never built.
 A run has 2m distinct axis crystals, X over each suffix u[j:] and Z
@@ -22,12 +22,12 @@ crystal keeps it) and every other `rasterize` is a lookup.  Each field
 of E is a maximum of outer products of per-axis factors, and each Y(i)
 is the outer AND of its axes.  The homogeneity check reads E,
 Y(i) and the R(i) field factor by factor, and refuses masks and fields
-of any other layout.  S, S_alt, |∪Y(i)| and the inclusion are counted
-over the value classes of the family field and of the indicator of
-∪Y(i) (`value_classes`): each is a maximum of outer products on one
-grid of class pairs, thresholded and weighted by the classes' cell
-counts.  A passing `verify_theorem` builds no array of the grid's size;
-the cell budget still counts the grid's cells.
+of any other layout; the inclusion reads each Y(i) and the family
+field's term of its R(i) the same way.  S and S_alt are superlevel
+measures of the family field and |∪Y(i)| one of the indicator of
+∪Y(i), each counted over that one field's value classes
+(`superlevel_measure`).  A passing `verify_theorem` builds no array of
+the grid's size; the cell budget still counts the grid's cells.
 
 A `VerificationReport` stores what a run measured and the outcome of
 each check; it derives the sharpness ratio and the verdict from them.
@@ -75,7 +75,7 @@ from .evaluator import (
     check_budget,
     maximal_field,
     rasterize,
-    value_classes,
+    superlevel_measure,
 )
 from .family import find_progression, generate_shapes, is_member
 
@@ -236,18 +236,6 @@ def check_homogeneity(
     return HomogeneityResult(k, low is None, low)
 
 
-def _class_field(classes, k: int) -> np.ndarray:
-    """Field k of `value_classes` on its grid of class pairs."""
-    (rows, _), (last, _) = classes
-    return reduce(np.maximum, map(np.multiply.outer, rows[k], last[k]))
-
-
-def _measure(grid: GridSpec, selected: np.ndarray, classes) -> DyadicRational:
-    """The measure of the cells of the class pairs selected by 0/1."""
-    (_, counts), (_, last) = classes
-    return DyadicRational(int(counts @ selected @ last), grid.cell_volume_exponent)
-
-
 @dataclass(frozen=True)
 class DisjointnessResult:
     min_delta: Fraction
@@ -269,8 +257,7 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     )
     masks = [rasterize(instance.Y[i], instance.grid) for i in instance.indices]
     union = AverageField(instance.grid, tuple(y.factors for y in masks), 0)
-    classes = value_classes(union)
-    union_Y = _measure(instance.grid, _class_field(classes, 0), classes)
+    (union_Y,) = superlevel_measure(union, DyadicRational.pow2(0))
     sum_Y = sum(
         (crystal_measure(instance.Y[i]) for i in instance.indices),
         DyadicRational(0, 0),
@@ -373,7 +360,10 @@ def verify_theorem(
 ) -> VerificationReport:
     """Full certification run: homogeneity, disjointness, and the
     superlevel measure of the family maximal field at threshold
-    2^-(m-1) (2^-m reported too); the report derives the ratio."""
+    2^-(m-1) (2^-m reported too); the report derives the ratio.
+    inclusion_ok is the sufficient condition that each Y(i) lies in the
+    superlevel set of its R(i)'s term: True implies ∪Y(i) ⊂ {F >= thr},
+    and a cell of Y(i) that only other terms cover reads False."""
     t0 = time.perf_counter()
     n, m, A = index(n), index(m), sorted({index(a) for a in A})
     if n < 2:
@@ -399,15 +389,18 @@ def verify_theorem(
     fld = maximal_field(mask_E, used)
     thr = DyadicRational.pow2(-(m - 1))
     thr_alt = DyadicRational.pow2(-m)
-    # the family field and the indicator of ∪Y(i) on one grid of classes
-    masks = [rasterize(inst.Y[i], inst.grid) for i in inst.indices]
-    union = AverageField(inst.grid, tuple(y.factors for y in masks), 0)
-    classes = value_classes(fld, union)
-    field = _class_field(classes, 0)
-    lvl, lvl_alt = (field >= _count_threshold(fld.denom_exp, t) for t in (thr, thr_alt))
-    S = _measure(inst.grid, lvl, classes)
-    S_alt = _measure(inst.grid, lvl_alt, classes)
-    inclusion_ok = bool((_class_field(classes, 1) <= lvl).all())
+    S, S_alt = superlevel_measure(fld, thr, thr_alt)
+    # the terms are the shapes' own fields, in order; each Y(i) is read
+    # against its R(i)'s term factor by factor
+    terms = dict(zip(used, fld.terms, strict=True))
+    c = _count_threshold(fld.denom_exp, thr)
+    inclusion_ok = all(
+        inst.R[i] in terms
+        and _first_below([(t[y], y) for t, y in zip(
+            terms[inst.R[i]], rasterize(inst.Y[i], inst.grid).factors
+        )], c) is None
+        for i in inst.indices
+    )
     runtime = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         kind="theorem",
@@ -454,10 +447,8 @@ def cube_counterexample(
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])
     ((axis,),) = fld.terms
     grid = GridSpec((0,) * n, (m,) * n, budget)
-    classes = value_classes(AverageField(grid, ((axis,) * n,), n * fld.denom_exp))
     thr = DyadicRational.pow2(-m)
-    lvl = _class_field(classes, 0) >= _count_threshold(n * fld.denom_exp, thr)
-    S = _measure(grid, lvl, classes)
+    (S,) = superlevel_measure(AverageField(grid, ((axis,) * n,), n * fld.denom_exp), thr)
     runtime = (time.perf_counter() - t0) * 1000.0
     nshapes = (m + 1) ** n
     return VerificationReport(

@@ -384,13 +384,11 @@ def failing_check(request, monkeypatch):
             lambda inst: dataclasses.replace(real(inst), passed=False),
         )
     else:
-        # a family field of its first shape alone: the homogeneity fields,
-        # of one shape each, are untouched, but the Y(i) of the other
-        # shapes leave its superlevel set, which stays nonempty
-        real = mod.maximal_field
-        monkeypatch.setattr(
-            mod, "maximal_field", lambda mask, shapes: real(mask, list(shapes)[:1])
-        )
+        # a family of its first generator alone: the homogeneity fields,
+        # of R(i) each, are untouched, but the other Y(i) lose the term of
+        # their R(i), and the superlevel set stays nonempty
+        real = mod.generate_shapes
+        monkeypatch.setattr(mod, "generate_shapes", lambda n, A: real(n, A)[:1])
     return request.param
 
 

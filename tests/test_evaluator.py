@@ -31,6 +31,7 @@ from dyadicmax.evaluator import (
     prefix_sums,
     rasterize,
     superlevel_mask,
+    superlevel_measure,
     value_classes,
 )
 from dyadicmax.verify import build_instance
@@ -555,6 +556,20 @@ class TestRepeatedFactors:
         tables = prefix_sums(mask)
         assert len({id(P) for P in tables}) == len({id(f) for f in mask.factors})
 
+    @given(case=repeated_factor_masks().filter(lambda c: all(f.any() for f in c[0].factors)))
+    @settings(max_examples=60, deadline=None)
+    def test_each_term_is_its_shapes_own_field(self, case):
+        # term k of a nonempty per-axis mask's field is shape k's own
+        # field, shifted to the common denominator
+        mask, shapes = case
+        fld = maximal_field(mask, shapes)
+        assert len(fld.terms) == len(shapes)
+        for term, shape in zip(fld.terms, shapes):
+            own = maximal_field(mask, [shape])
+            got = AverageField(fld.grid, (term,), fld.denom_exp).num
+            want = own.num.astype(got.dtype) << (fld.denom_exp - own.denom_exp)
+            assert np.array_equal(got, want)
+
 
 def assert_field_matches_naive(mask, rects):
     """The maximal field of the shapes with exponents `rects` against the
@@ -797,10 +812,10 @@ class TestProductSuperlevel:
 
 @st.composite
 def class_fields(draw):
-    """One to three fields on one grid of one to three axes and at most
-    2^10 cells, and a count threshold for the first.  Every term of every
-    field splits the axes into the same runs of consecutive axes: one run
-    per axis, one in all, or between.  Each field has one to four terms,
+    """A field on a grid of one to three axes, at resolutions -2..2 and
+    at most 2^10 cells, and count thresholds in [0, 2^D + 1].  Every term
+    splits the axes into the same runs of consecutive axes: one run per
+    axis, one in all, or between.  The field has one to four terms,
     either of bool factors over the denominator 2^0, or of unsigned
     factors in min_scalar_type(2^D) whose values on factor j are at most
     2^e_j, with D at least the sum of the e_j, so every product of a
@@ -810,28 +825,27 @@ def class_fields(draw):
     for _ in range(n):
         ks.append(draw(st.integers(0, spare)))
         spare -= ks[-1]
-    grid = GridSpec((0,) * n, tuple(ks))
+    res = tuple(draw(st.integers(-2, 2)) for _ in ks)
+    grid = GridSpec(res, tuple(r + k for r, k in zip(res, ks)))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
     bounds = [0, *cuts, n]
     shapes = [grid.shape[a:b] for a, b in zip(bounds, bounds[1:])]
-    fields = []
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            D, dtype, elements = 0, bool, [st.booleans()] * len(shapes)
-        else:
-            exps = [draw(st.integers(0, 4)) for _ in shapes]
-            D = sum(exps) + draw(st.integers(0, 2))
-            dtype = np.min_scalar_type(1 << D)
-            elements = [st.integers(0, 1 << e) for e in exps]
-        terms = tuple(
-            tuple(
-                draw(hnp.arrays(dtype, shape, elements=el))
-                for shape, el in zip(shapes, elements)
-            )
-            for _ in range(draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        D, dtype, elements = 0, bool, [st.booleans()] * len(shapes)
+    else:
+        exps = [draw(st.integers(0, 4)) for _ in shapes]
+        D = sum(exps) + draw(st.integers(0, 2))
+        dtype = np.min_scalar_type(1 << D)
+        elements = [st.integers(0, 1 << e) for e in exps]
+    terms = tuple(
+        tuple(
+            draw(hnp.arrays(dtype, shape, elements=el))
+            for shape, el in zip(shapes, elements)
         )
-        fields.append(AverageField(grid, terms, D))
-    return fields, draw(st.integers(0, (1 << fields[0].denom_exp) + 1))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    counts = draw(st.lists(st.integers(0, (1 << D) + 1), min_size=1, max_size=3))
+    return AverageField(grid, terms, D), counts
 
 
 class TestValueClasses:
@@ -841,47 +855,42 @@ class TestValueClasses:
         # per cell, the vector of every term's product: the distinct
         # vectors and their cell counts, enumerated over the dense grid,
         # are those of the class pairs weighted by their cell counts
-        fields, c = case
-        grid = fields[0].grid
-        (rows, counts), (last, last_counts) = value_classes(*fields)
-        for fld, r, q in zip(fields, rows, last):
-            assert r.dtype == q.dtype == np.min_scalar_type(1 << fld.denom_exp)
-            assert len(r) == len(q) == len(fld.terms)
+        fld, _ = case
+        (rows, counts), (last, last_counts) = value_classes(fld)
+        assert rows.dtype == last.dtype == np.min_scalar_type(1 << fld.denom_exp)
+        assert len(rows) == len(last) == len(fld.terms)
         weights = np.multiply.outer(counts, last_counts)
-        assert int(weights.sum()) == grid.ncells
-        pairs = np.concatenate([
-            (r.astype(np.int64)[:, :, None] * q[:, None, :]).reshape(len(r), -1)
-            for r, q in zip(rows, last)
-        ])
+        assert int(weights.sum()) == fld.grid.ncells
+        pairs = (rows.astype(np.int64)[:, :, None] * last[:, None, :]).reshape(len(rows), -1)
         got, inverse = np.unique(pairs, axis=1, return_inverse=True)
         got_counts = np.zeros(got.shape[1], np.int64)
         np.add.at(got_counts, inverse.ravel(), weights.ravel())
         dense = np.stack([
             reduce(np.multiply.outer, [f.astype(np.int64) for f in t]).ravel()
-            for fld in fields for t in fld.terms
+            for t in fld.terms
         ])
         want, want_counts = np.unique(dense, axis=1, return_counts=True)
         assert np.array_equal(got, want) and np.array_equal(got_counts, want_counts)
-        # the first field's superlevel set at count c, on the class pairs
-        T = len(fields[0].terms)
-        field = reduce(np.maximum, map(np.multiply.outer, rows[0], last[0]))
-        level = int(weights[field >= c].sum())
-        assert level == int((dense[:T].max(axis=0) >= c).sum())
 
-    def test_one_grid_and_one_layout(self):
+    @given(case=class_fields())
+    @settings(max_examples=150, deadline=None)
+    def test_superlevel_measure_against_the_dense_mask(self, case):
+        # drawn thresholds, 2^0 and one above every value, in one call
+        fld, counts = case
+        D = fld.denom_exp
+        ts = [DyadicRational(c, -D) for c in counts]
+        ts += [DyadicRational.pow2(0), DyadicRational((1 << D) + 1, -D)]
+        got = superlevel_measure(fld, *ts)
+        want = tuple(BitMask(fld.grid, (superlevel_mask(fld, t),)).measure() for t in ts)
+        assert got == want and got[-1] == DyadicRational(0, 0)
+
+    def test_one_factor_layout(self):
         grid = GridSpec((0, 0), (1, 1))
-        per_axis = AverageField(grid, ((np.ones(2, np.uint8),) * 2,), 0)
-        one = AverageField(grid, ((np.ones((2, 2), np.uint8),),), 0)
-        other_grid = AverageField(GridSpec((1, 1), (2, 2)), per_axis.terms, 0)
-        assert len(value_classes(per_axis, per_axis)[0][0]) == 2
-        for fields in [
-            (per_axis, one),
-            (AverageField(grid, per_axis.terms + one.terms, 0),),
-            (per_axis, other_grid),
-            (),
-        ]:
-            with pytest.raises(ParameterError, match="one grid and one factor layout"):
-                value_classes(*fields)
+        per_axis = ((np.ones(2, np.uint8),) * 2,)
+        one = ((np.ones((2, 2), np.uint8),),)
+        assert len(value_classes(AverageField(grid, per_axis * 2, 0))[0][0]) == 2
+        with pytest.raises(ParameterError, match="share one factor layout"):
+            value_classes(AverageField(grid, per_axis + one, 0))
 
 
 def assert_matches_naive_oracle(shapes):

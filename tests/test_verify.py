@@ -457,10 +457,11 @@ def theorem_inputs(draw):
 
 
 class TestClassPathAgainstTheDensePipeline:
-    """verify_theorem counts S, S_alt, |∪Y| and the inclusion over
-    per-axis classes of cells, and check_homogeneity reads E, Y(i) and
-    the R(i) field factor by factor; `dense_theorem.py` computes each on
-    grid-sized arrays and is the oracle."""
+    """verify_theorem counts S, S_alt and |∪Y| over per-axis classes of
+    cells and reads the inclusion off each Y(i)'s R(i) term factor by
+    factor, and check_homogeneity reads E, Y(i) and the R(i) field the
+    same way; `dense_theorem.py` computes each on grid-sized arrays and
+    is the oracle."""
 
     @given(case=theorem_inputs())
     @example(case=(2, [0, 2, 3, 4, 6, 8], 5))
@@ -484,36 +485,43 @@ class TestClassPathAgainstTheDensePipeline:
 
     @pytest.mark.parametrize("cut", ["first_shape", "one_cell"])
     def test_uncovered_cell_of_a_Y_fails_inclusion(self, monkeypatch, cut):
-        # the family field of its first generator alone; or the full
-        # field with the entry of the last cell of ∪Y(i) zeroed on the
-        # first axis of the one term that reaches the threshold there:
-        # either leaves a cell of some Y(i) outside the superlevel set,
-        # which the dense mask of ∪Y(i) finds
+        # the family of its first generator alone; or the full field with
+        # the entry of the last cell of ∪Y(i) zeroed on the first axis of
+        # the one term that reaches the threshold there: either leaves a
+        # cell of some Y(i) outside the superlevel set, which the dense
+        # mask of ∪Y(i) finds
         n, A, m = 2, range(0, 8, 2), 4
         inst = build_instance(n, find_progression(A, m))
         union = union_Y_mask(inst)
         last = np.unravel_index(np.flatnonzero(union)[-1], union.shape)
-        real = maximal_field
+        real_shapes, real_field = generate_shapes, maximal_field
 
         def family_cut(mask, shapes):
             shapes = list(shapes)
+            fld = real_field(mask, shapes)
             if len(shapes) == 1:  # a homogeneity field
-                return real(mask, shapes)
-            if cut == "first_shape":
-                return real(mask, shapes[:1])
-            fld = real(mask, shapes)
+                return fld
             *rest, (first, other) = fld.terms
             first = first.copy()
             first[last[0]] = 0
             return AverageField(fld.grid, (*rest, (first, other)), fld.denom_exp)
 
-        monkeypatch.setattr(dyadicmax.verify, "maximal_field", family_cut)
+        if cut == "first_shape":
+            monkeypatch.setattr(
+                dyadicmax.verify, "generate_shapes", lambda n, A: real_shapes(n, A)[:1]
+            )
+        else:
+            monkeypatch.setattr(dyadicmax.verify, "maximal_field", family_cut)
         rep = verify_theorem(n, A, m)
         checks = (rep.homogeneity_ok, rep.disjointness_ok, rep.inclusion_ok)
         assert checks == (True, True, False)
         mask_E = rasterize(inst.E, inst.grid)
-        used = [s for s in generate_shapes(n, A) if inst.grid.compatible_shape(s)]
-        lvl = superlevel_mask(family_cut(mask_E, used), DyadicRational.pow2(-(m - 1)))
+        used = [
+            s for s in dyadicmax.verify.generate_shapes(n, A)
+            if inst.grid.compatible_shape(s)
+        ]
+        fld = dyadicmax.verify.maximal_field(mask_E, used)
+        lvl = superlevel_mask(fld, DyadicRational.pow2(-(m - 1)))
         assert (union & ~lvl).any()
         assert rep.superlevel == BitMask(inst.grid, (lvl,)).measure()
         if cut == "one_cell":
@@ -522,6 +530,36 @@ class TestClassPathAgainstTheDensePipeline:
             uncovered = np.argwhere(union & ~lvl).tolist()
             assert list(last) in uncovered
             assert {x for x, _ in uncovered} == {last[0]}
+
+    def test_inclusion_reads_the_term_of_each_R(self, monkeypatch):
+        # entry 0 of the first factor of R((1,))'s family term zeroed:
+        # other terms still cover that cell of Y((1,)), so ∪Y(i) stays in
+        # the superlevel set, but the term of R((1,)) no longer reaches
+        # the threshold on all of Y((1,)), which is what the check reads
+        n, A, m = 2, range(4), 4
+        inst = build_instance(n, find_progression(A, m))
+        real = maximal_field
+
+        def cut(mask, shapes):
+            shapes = list(shapes)
+            fld = real(mask, shapes)
+            if len(shapes) == 1:  # a homogeneity field
+                return fld
+            k = shapes.index(inst.R[(1,)])
+            first, *rest = fld.terms[k]
+            first = first.copy()  # the kernel's factor fields are read-only
+            first[0] = 0
+            terms = (*fld.terms[:k], (first, *rest), *fld.terms[k + 1:])
+            return AverageField(fld.grid, terms, fld.denom_exp)
+
+        monkeypatch.setattr(dyadicmax.verify, "maximal_field", cut)
+        rep = verify_theorem(n, A, m)
+        checks = (rep.homogeneity_ok, rep.disjointness_ok, rep.inclusion_ok)
+        assert checks == (True, True, False)
+        mask_E = rasterize(inst.E, inst.grid)
+        used = [s for s in generate_shapes(n, A) if inst.grid.compatible_shape(s)]
+        lvl = superlevel_mask(cut(mask_E, used), DyadicRational.pow2(-(m - 1)))
+        assert lvl[union_Y_mask(inst)].all()
 
 
 @st.composite
@@ -567,8 +605,8 @@ def test_class_counts_past_int64():
         AverageField(grid, ((axis,) * 32,), 0)
     )
     assert counts.dtype == object and all(type(c) is int for c in counts)
-    assert dict(zip(rows[0][0].tolist(), counts)) == {0: 4**31 - 3**31, 1: 3**31}
-    assert last[0][0].tolist() == [0, 1] and last_counts.tolist() == [1, 3]
+    assert dict(zip(rows[0].tolist(), counts)) == {0: 4**31 - 3**31, 1: 3**31}
+    assert last[0].tolist() == [0, 1] and last_counts.tolist() == [1, 3]
 
 
 class TestPastTheDenseFrontier:
@@ -576,19 +614,22 @@ class TestPastTheDenseFrontier:
     traced allocations, since nothing of the grid's size is built."""
 
     @pytest.mark.parametrize(
-        "A, m, ratio",
+        "n, A, m, budget, ratio",
         [
             # 2^28 cells; the value the dense pipeline recorded (30 s, 2 GB)
-            (range(0, 16, 2), 8, Fraction(13167173, 33554432)),
+            (2, range(0, 16, 2), 8, DEFAULT_CELL_BUDGET, Fraction(13167173, 33554432)),
             # 2^30 cells, the default budget; the step-1 closed form (m+1)/(4m)
-            (range(16), 16, Fraction(17, 64)),
+            (2, range(16), 16, DEFAULT_CELL_BUDGET, Fraction(17, 64)),
+            # 2^42 cells; the value the class count recorded while it also
+            # counted the ∪Y(i) indicator, at a 12.45 MiB peak
+            (3, range(0, 16, 2), 8, 1 << 42, Fraction(6187764175, 34359738368)),
         ],
-        ids=["n2m8d2", "n2m16d1"],
+        ids=["n2m8d2", "n2m16d1", "n3m8d2"],
     )
-    def test_ratio_and_peak_memory(self, A, m, ratio):
+    def test_ratio_and_peak_memory(self, n, A, m, budget, ratio):
         tracemalloc.start()
         try:
-            rep = verify_theorem(2, A, m)
+            rep = verify_theorem(n, A, m, budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
