@@ -13,9 +13,15 @@ does not exit cleanly, ends the run with exit status 1.
 For each end-to-end metric (setup_s, wall_s, peak_rss_mb; lower is
 better) it prints the median and interquartile range of each side, the
 ratio of the medians (change over base), in how many pairs the change
-was strictly lower, and whether that is a gain: the change is lower in
-at least nine tenths of the pairs, and its median is below the base's
-by more than the base's interquartile range.
+was strictly lower, and three verdicts.  The metric's `bound` in
+BENCHMARK.json is read as a fraction of the base median b:
+  gain        the change is lower in at least nine tenths of the pairs,
+              and its median is below b by more than the base's
+              interquartile range;
+  worse       the change's median is above b by more than bound * b;
+  unresolved  the base's interquartile range is wider than bound * b,
+              so the runs spread too widely to tell, unless every change
+              run is below every base run.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import time
 from pathlib import Path
 
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+BOUNDS = {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 CHILD_ENV = {
     **os.environ,
     "OMP_NUM_THREADS": "1",
@@ -67,17 +75,21 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
 
 def summary(base: list[dict], change: list[dict]) -> list[str]:
     lines = [f"{'metric':<12} {'base median':>12} {'base IQR':>21} {'change median':>14} "
-             f"{'change IQR':>21} {'ratio':>7} {'wins':>7} {'gain':>5}"]
+             f"{'change IQR':>21} {'ratio':>7} {'wins':>7} {'gain':>5} {'worse':>6} "
+             f"{'unresolved':>11}"]
     for k in METRICS:
         b, c = [s[k] for s in base], [s[k] for s in change]
         (b1, b3), (c1, c3) = quartiles(b), quartiles(c)
         mb, mc = statistics.median(b), statistics.median(c)
         wins = sum(y < x for x, y in zip(b, c))
         gain = 10 * wins >= 9 * len(b) and mb - mc > b3 - b1
+        worse = mc - mb > BOUNDS[k] * mb
+        unresolved = b3 - b1 > BOUNDS[k] * mb and not max(c) < min(b)
+        yes = ["yes" if v else "no" for v in (gain, worse, unresolved)]
         lines.append(
             f"{k:<12} {mb:>12.6g} {f'{b1:.6g}-{b3:.6g}':>21} {mc:>14.6g} "
             f"{f'{c1:.6g}-{c3:.6g}':>21} {mc / mb if mb else float('nan'):>7.3f} "
-            f"{f'{wins}/{len(b)}':>7} {'yes' if gain else 'no':>5}"
+            f"{f'{wins}/{len(b)}':>7} {yes[0]:>5} {yes[1]:>6} {yes[2]:>11}"
         )
     return lines
 

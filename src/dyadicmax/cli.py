@@ -142,9 +142,10 @@ def cmd_verify(args) -> int:
 
 def _run_per_m(ms, run, csv_path, series_path=None, verdict=False) -> int:
     """Run `run(m)` for each m, printing one line per report, then write
-    the CSV and series of the reports made, also when a later m raises.
-    An m without a progression is reported on stderr and skipped; the
-    worst exit code wins."""
+    the CSV and series of the reports made, also when a later m raises;
+    a run that made no report writes no file.  An m without a
+    progression is reported on stderr and skipped; the worst exit code
+    wins."""
     _check_writable(csv_path, series_path)
     reports, worst = [], EXIT_OK
     try:
@@ -161,9 +162,9 @@ def _run_per_m(ms, run, csv_path, series_path=None, verdict=False) -> int:
             if not rep.passed:
                 worst = max(worst, EXIT_CHECK_FAILED)
     finally:
-        if csv_path:
+        if csv_path and reports:
             _write_reports_csv(csv_path, reports)
-        if series_path:
+        if series_path and reports:
             with open(series_path, "w") as fh:
                 fh.writelines(f"{r.m} {fraction_decimal(r.ratio)}\n" for r in reports)
     return worst

@@ -25,13 +25,15 @@ so is a shape's field: the outer product of its factors' fields.
 Within one `maximal_field` call each factor field is built once per
 factor object, window, reach and shift, and terms share it read-only.
 A field (`AverageField`) is held the same way, as the maximum over
-terms of the outer product of each term's factors.  On a mask of one
-factor the shapes fold into one running maximum, a dense field of one
-term; on a mask of several factors each shape is a term of its own,
+terms of the outer product of each term's factors.  The factor count
+alone sets the terms: on a mask of one factor the shapes fold into one
+running maximum, a dense field of one term; on a mask of several
+factors, the empty mask included, each shape is a term of its own,
 each factor zero outside the shape's reach, so with 1D factors the
-kernel builds no grid-sized array.  A field's `num` and a mask's
-`values` are built on each read, so neither goes stale.  Masks and
-fields compare by identity.
+kernel builds no grid-sized array.  An empty mask takes the general
+path, with the one cell at the origin as its support box.  A field's
+`num` and a mask's `values` are built on each read, so neither goes
+stale.  Masks and fields compare by identity.
 
 A field's superlevel measures (`superlevel_measure`) are counted over
 its value classes (`value_classes`), the cells of a factor axis that
@@ -261,10 +263,10 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
     return tuple(1 << (a - r) for a, r in zip(shape.exponents, grid.resolution))
 
 
-def _support_box(mask: BitMask) -> list[tuple[int, int]] | None:
+def _support_box(mask: BitMask) -> list[tuple[int, int]]:
     """Per axis, the first and last index of a set cell, from one `any`
-    reduction per axis of each distinct factor object; None for an empty
-    mask."""
+    reduction per axis of each distinct factor object; for an empty
+    mask, which counts zero everywhere, the one cell at the origin."""
     def bounds(f):
         out = []
         for ax in range(f.ndim):
@@ -275,7 +277,9 @@ def _support_box(mask: BitMask) -> list[tuple[int, int]] | None:
         return out
 
     per_factor = _per_object(mask.factors, bounds)
-    return None if None in per_factor else [b for fb in per_factor for b in fb]
+    if None in per_factor:
+        return [(0, 0)] * mask.grid.dimension
+    return [b for fb in per_factor for b in fb]
 
 
 def _window_maxima(S: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
@@ -314,7 +318,8 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     the window of a cropped anchor, so its maximum is taken over every
     anchor that can count; a cell outside the reach sees only zero-count
     placements.  So each shape's field is computed on its reach only.
-    An empty mask's field is all zero.
+    An empty mask counts zero at every anchor, so any box is exact for
+    it: it takes the one cell at the origin, and its field is zero.
 
     The kernel works per factor of the mask.  The cropped anchors form a
     product of per-axis ranges, and the count at anchor p is the product
@@ -363,9 +368,6 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     dt = np.min_scalar_type(1 << D)
     box = _support_box(mask)
-    if box is None:
-        zero = tuple(np.zeros(f.shape, dt) for f in mask.factors)
-        return AverageField(grid, (zero,), D)
     layout, start = [], 0  # each factor, its prefix table and its grid axes
     for f, P in zip(mask.factors, prefix_sums(mask, dt)):
         layout.append((id(f), f.shape, P, slice(start, start + f.ndim)))

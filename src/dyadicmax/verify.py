@@ -20,10 +20,12 @@ over the last s+1 scales of -h; E and every Y(i) are tuples of those
 objects, so each axis is rasterized and checked once per run (the
 crystal keeps it) and every other `rasterize` is a lookup.  Each field
 of E is a maximum of outer products of per-axis factors, and each Y(i)
-is the outer AND of its axes.  The homogeneity check reads E,
-Y(i) and the R(i) field factor by factor, and refuses masks and fields
-of any other layout; the inclusion reads each Y(i) and the family
-field's term of its R(i) the same way.  S and S_alt are superlevel
+is the outer AND of its axes.  One reader, `_first_below(term, mask,
+c)`, makes every per-index test: the first cell of the mask at which
+the product of the term's factors is below c.  It reads E ⊂ Y(i) (Y(i)'s
+factors over E), the R(i) field over Y(i), and the inclusion (the
+family field's term of R(i) over Y(i)), factor by factor, and refuses
+terms and masks of any other layout.  S and S_alt are superlevel
 measures of the family field and |∪Y(i)| one of the indicator of
 ∪Y(i), each counted over that one field's value classes
 (`superlevel_measure`).  A passing `verify_theorem` builds no array of
@@ -33,7 +35,8 @@ A `VerificationReport` stores what a run measured and the outcome of
 each check; it derives the sharpness ratio and the verdict from them.
 
 The unit-cube example (`cube_counterexample`) is evaluated as a
-product: one 1D field of [0, 1] over the side exponents 0..m, whose
+product: one 1D field of [0, 1] over the side exponents 0..m (the
+field's `num`, a mask of one factor giving one folded term), whose
 n-fold product is counted over value classes like the theorem's fields.
 
 Aligned evaluation under-estimates the true maximal operator, which is
@@ -170,34 +173,32 @@ class HomogeneityResult:
     counterexample: tuple[int, ...] | None = None
 
 
-def _per_axis(grid: GridSpec, factors) -> tuple[np.ndarray, ...]:
-    """The factors of a mask or field term, if one 1D array per axis."""
-    if [f.ndim for f in factors] != [1] * grid.dimension:
+def _first_below(term, mask: BitMask, c: int) -> tuple[int, ...] | None:
+    """The first cell of a nonempty mask, in C order, at which the
+    product of the term's factors is below c; None if there is none.
+    The term (a field term, or a mask's factors) and the mask must hold
+    one 1D factor per grid axis, or `ParameterError` is raised, so the
+    mask is a product set and its cells run in C order axis by axis.
+
+    The values are >= 0, so the least product over the mask is the
+    product of each axis's least value at the mask's cells.  Fixing the
+    axes in order, each at its first set cell from which a product below
+    c is still reachable with the least values of the axes after it,
+    finds that cell."""
+    axes = [1] * mask.grid.dimension
+    if [f.ndim for f in term] != axes or [f.ndim for f in mask.factors] != axes:
         raise ParameterError("masks and fields must hold one 1D factor per grid axis")
-    return factors
-
-
-def _first_below(parts, c: int) -> tuple[int, ...] | None:
-    """The first cell in C order, among the cells of a product set, at
-    which the product of the factors' values is below c; None if there
-    is none.  Each part is (a factor's values at its selected cells, the
-    factor's selector), so the cells run in the order of the selected
-    cells' C order, factor by factor.
-
-    The values are >= 0, so the least product is the product of the
-    factors' least values.  Fixing the factors in order, each at its
-    first selected cell from which a product below c is still reachable
-    with the least values of the factors after it, finds that cell."""
-    least = [int(np.minimum.reduce(v)) for v, _ in parts]
+    values = [t[sel] for t, sel in zip(term, mask.factors)]
+    least = [int(np.minimum.reduce(v)) for v in values]
     if math.prod(least) >= c:
         return None
     cell, prefix = (), 1
-    for j, (v, sel) in enumerate(parts):
+    for j, (v, sel) in enumerate(zip(values, mask.factors)):
         rest = prefix * math.prod(least[j + 1:])
         # rest * v < c iff v < ceil(c / rest)
         p = 0 if rest == 0 else int(np.argmax(v < -(-c // rest)))
         prefix *= int(v[p])
-        cell += tuple(int(x[p]) for x in sel.nonzero())
+        cell += (int(np.flatnonzero(sel)[p]),)
     return cell
 
 
@@ -217,8 +218,7 @@ def check_homogeneity(
     its factors there.  Nothing of the grid's size is built, and a
     failed test reports its first failing cell in C order."""
     mask_Y = rasterize(instance.Y[i], instance.grid)
-    fE, fY = (_per_axis(instance.grid, mask.factors) for mask in (mask_E, mask_Y))
-    outside = _first_below([(y[e], e) for e, y in zip(fE, fY)], 1)
+    outside = _first_below(mask_Y.factors, mask_E, 1)
     if outside is not None:
         # E ⊂ Y(i) must hold; report the first offending cell
         return HomogeneityResult(-1, False, outside)
@@ -230,9 +230,8 @@ def check_homogeneity(
     k = mu_Y.exponent - mu_E.exponent
     fld = maximal_field(mask_E, [instance.R[i]])
     (term,) = fld.terms
-    term = _per_axis(instance.grid, term)
     c = _count_threshold(fld.denom_exp, DyadicRational.pow2(-k))
-    low = _first_below([(t[y], y) for t, y in zip(term, fY)], c)
+    low = _first_below(term, mask_Y, c)
     return HomogeneityResult(k, low is None, low)
 
 
@@ -396,9 +395,7 @@ def verify_theorem(
     c = _count_threshold(fld.denom_exp, thr)
     inclusion_ok = all(
         inst.R[i] in terms
-        and _first_below([(t[y], y) for t, y in zip(
-            terms[inst.R[i]], rasterize(inst.Y[i], inst.grid).factors
-        )], c) is None
+        and _first_below(terms[inst.R[i]], rasterize(inst.Y[i], inst.grid), c) is None
         for i in inst.indices
     )
     runtime = (time.perf_counter() - t0) * 1000.0
@@ -445,10 +442,9 @@ def cube_counterexample(
     unit = product_crystal(ScaleSet((0,)))
     mask = rasterize(unit, GridSpec((0,), (m,), budget))
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])
-    ((axis,),) = fld.terms
     grid = GridSpec((0,) * n, (m,) * n, budget)
     thr = DyadicRational.pow2(-m)
-    (S,) = superlevel_measure(AverageField(grid, ((axis,) * n,), n * fld.denom_exp), thr)
+    (S,) = superlevel_measure(AverageField(grid, ((fld.num,) * n,), n * fld.denom_exp), thr)
     runtime = (time.perf_counter() - t0) * 1000.0
     nshapes = (m + 1) ** n
     return VerificationReport(

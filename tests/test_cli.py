@@ -1,14 +1,17 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import compress
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dyadicmax
@@ -331,6 +334,25 @@ def test_verify_stopped_before_writing_keeps_a_dangling_link(tmp_path, monkeypat
     assert os.listdir(tmp_path) == ["r.json"] and Path("r.json").is_symlink()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--n", "2", "--m", "20..21"], EXIT_BUDGET),
+        (["sweep", "--n", "2", "--set", "1,2,4", "--m", "3..4"], EXIT_NO_PROGRESSION),
+        (["sweep", "--n", "1", "--m", "2..3"], EXIT_USAGE),
+        (["cube", "--n", "0", "--m", "1..2"], EXIT_USAGE),
+    ],
+)
+def test_sweep_or_cube_stopped_before_any_report_leaves_no_file(
+    argv, code, tmp_path, monkeypatch
+):
+    # with no row to write, the CSV and the series are not written at all
+    monkeypatch.chdir(tmp_path)
+    series = ["--series", "s.txt"] if argv[0] == "sweep" else []
+    assert main([*argv, "--csv", "r.csv", *series]) == code
+    assert os.listdir(tmp_path) == []
+
+
 class TestSweepCommand:
     def test_row_count_and_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -563,3 +585,90 @@ class TestRangeParsers:
                 continue
             assert len(value) > 0
             assert all(isinstance(v, int) for v in value)
+
+
+# argv for every command: members and scales in -8..30, m <= 7, n <= 4,
+# as lists and `lo..hi` ranges; one time in eight a value is out of its
+# usual range, a list unordered, a range reversed, or the text malformed
+_junk = st.sampled_from(["", "x", "1.5", "..", ",", "3..", "..3", "1,,2", "0..2,5"])
+_OUTPUTS = {"verify": ("--out", "--csv"), "sweep": ("--csv", "--series"), "cube": ("--csv",)}
+
+
+def _rare(draw):
+    return draw(st.integers(0, 7)) == 0
+
+
+def _int(draw, lo, usual, hi):
+    """An int in usual..hi, or one time in eight in lo..hi."""
+    return draw(st.integers(lo if _rare(draw) else usual, hi))
+
+
+def _int_text(draw, lo, usual, hi):
+    return draw(_junk) if _rare(draw) else str(_int(draw, lo, usual, hi))
+
+
+def _ints_text(draw, lo, usual, hi):
+    """Distinct ints, increasing, or a range `lo..hi`, or malformed text."""
+    if _rare(draw):
+        return draw(_junk)
+    if draw(st.booleans()):
+        v = sorted(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=6, unique=True)))
+        return ",".join(map(str, draw(st.permutations(v)) if _rare(draw) else v))
+    a, b = sorted(_int(draw, lo, usual, hi) for _ in range(2))
+    return f"{b}..{a}" if _rare(draw) else f"{a}..{b}"
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of one `crystal`, `verify`, `sweep` or `cube` run, each value
+    after `=`, so that a leading "-" is read as a value.  Every run that
+    is accepted builds at most 2^20 cells: a theorem or cube grid of at
+    most 2^24 cells (the drawn budget) is held as per-axis factors of at
+    most 2^12 cells, and a `crystal` mask, which is built, spans at most
+    20 scales or more than 30, which the default budget refuses."""
+    cmd = draw(st.sampled_from(["crystal", "verify", "sweep", "cube"]))
+    if cmd == "crystal":
+        scales = _ints_text(draw, -8, -8, 30)
+        try:
+            values = [int(t) for t in scales.split(",")]
+        except ValueError:
+            values = [0]
+        assume(not 20 < max(values) - min(values) <= 30)
+        return [cmd, f"--scales={scales}"]
+    budget = draw(st.sampled_from(["0", "-1", "abc"])) if _rare(draw) else str(
+        draw(st.integers(1, 1 << 24)))
+    argv = [cmd, f"--n={_int_text(draw, -1, 2, 4)}", f"--budget={budget}"]
+    if cmd == "verify":
+        argv += [f"--set={_ints_text(draw, -8, -8, 30)}", f"--m={_int_text(draw, -1, 2, 7)}"]
+    else:
+        argv.append(f"--m={_ints_text(draw, -1, 2 if cmd == 'sweep' else 1, 7)}")
+    if cmd == "sweep" and draw(st.booleans()):
+        argv.append(f"--set={_ints_text(draw, -8, -8, 30)}")
+    for flag in draw(st.lists(st.sampled_from(_OUTPUTS[cmd]), unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(['r.out', './r.out', 's.out']))}")
+    return argv
+
+
+@given(argv=cli_argv())
+@settings(max_examples=100, deadline=None)
+def test_every_run_ends_in_a_documented_exit(argv):
+    # returns 0, 2, 3, 4 or 5, or argparse's SystemExit 2, and nothing
+    # else escapes; a run that stops with 2, 3 or 4 before it prints a
+    # report leaves no new file in its (empty) working directory
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_USAGE, err.getvalue()
+            code = EXIT_USAGE
+        finally:
+            os.chdir(home)
+        files = os.listdir(tmp)
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_NO_PROGRESSION, EXIT_BUDGET, EXIT_CHECK_FAILED}
+    reported = any(line.startswith(("n=", "m=")) for line in out.getvalue().splitlines())
+    if code in {EXIT_USAGE, EXIT_NO_PROGRESSION, EXIT_BUDGET} and not reported:
+        assert files == [], (code, err.getvalue())

@@ -485,8 +485,8 @@ class TestFactoredMaskAnswers:
     """A mask of several factors, rasterized or mixed, answers its
     measure, its support box, its prefix table and its maximal field
     from its factors, and builds its values only when they are read; its
-    field holds one term per shape (an empty mask's, one zero term),
-    laid out like the mask's factors.
+    field holds one term per shape, the empty mask's included, laid out
+    like the mask's factors.
     Its dense copy, its own single factor, answers from the grid and is
     the oracle."""
 
@@ -498,7 +498,7 @@ class TestFactoredMaskAnswers:
             measure, box = mask.measure(), _support_box(mask)
             table, fld = whole_table(mask), maximal_field(mask, shapes)
             assert "values" not in vars(mask)  # all read from the factors
-            assert len(fld.terms) == (1 if box is None else len(shapes))
+            assert len(fld.terms) == len(shapes)
             for term in fld.terms:
                 assert [f.shape for f in term] == [f.shape for f in mask.factors]
             dense = BitMask(grid, (mask.values.copy(),))
@@ -556,11 +556,11 @@ class TestRepeatedFactors:
         tables = prefix_sums(mask)
         assert len({id(P) for P in tables}) == len({id(f) for f in mask.factors})
 
-    @given(case=repeated_factor_masks().filter(lambda c: all(f.any() for f in c[0].factors)))
+    @given(case=repeated_factor_masks())
     @settings(max_examples=60, deadline=None)
     def test_each_term_is_its_shapes_own_field(self, case):
-        # term k of a nonempty per-axis mask's field is shape k's own
-        # field, shifted to the common denominator
+        # term k of a per-axis mask's field, the empty mask's included, is
+        # shape k's own field, shifted to the common denominator
         mask, shapes = case
         fld = maximal_field(mask, shapes)
         assert len(fld.terms) == len(shapes)

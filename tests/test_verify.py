@@ -564,35 +564,47 @@ class TestClassPathAgainstTheDensePipeline:
 
 @st.composite
 def product_values(draw):
-    """One to three factors of one or two axes, each with small values
-    and a nonempty selection of cells, and a bound c."""
-    parts = []
-    for _ in range(draw(st.integers(1, 3))):
-        shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
-        sel = draw(hnp.arrays(bool, shape, fill=st.nothing()).filter(np.any))
-        values = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 6)))
-        parts.append((values, sel))
-    return parts, draw(st.integers(0, 100))
+    """A term of one to three 1D factors of 1, 2 or 4 small values, a
+    mask on their grid with a nonempty selection of cells on each axis,
+    and a bound c."""
+    ks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    grid = GridSpec((0,) * len(ks), tuple(ks))
+    term = tuple(draw(hnp.arrays(np.uint8, 1 << k, elements=st.integers(0, 6))) for k in ks)
+    sels = tuple(draw(hnp.arrays(bool, 1 << k).filter(np.any)) for k in ks)
+    return term, BitMask(grid, sels), draw(st.integers(0, 100))
 
 
-def _arrays(*rows):
-    return [(np.array(v, np.uint8), np.ones(len(v), bool)) for v in rows]
+def _whole(*rows):
+    """A term of the given rows, and the mask of every cell of their grid."""
+    grid = GridSpec((0,) * len(rows), tuple(len(v).bit_length() - 1 for v in rows))
+    term = tuple(np.array(v, np.uint8) for v in rows)
+    return term, BitMask(grid, tuple(np.ones(len(v), bool) for v in rows))
 
 
 @given(case=product_values())
 # the first factor's value 2 at cell 0 leaves 2 * 2 >= 3; its value 1
 # at cell 1 reaches 2 < 3, since ceil(3 / 2) = 2 > 1
-@example(case=(_arrays([2, 1], [2]), 3))
+@example(case=(*_whole([2, 1], [2]), 3))
 @settings(max_examples=200, deadline=None)
 def test_first_below_is_the_first_failing_cell(case):
-    # the oracle scans the selected cells of the product in C order
-    parts, c = case
+    # the oracle scans the mask's cells in C order
+    term, mask, c = case
     want = None
-    for cells in iproduct(*(np.argwhere(sel) for _, sel in parts)):
-        if math.prod(int(v[tuple(x)]) for (v, _), x in zip(parts, cells)) < c:
-            want = tuple(int(i) for x in cells for i in x)
+    for cell in iproduct(*(np.flatnonzero(sel) for sel in mask.factors)):
+        if math.prod(int(t[x]) for t, x in zip(term, cell)) < c:
+            want = tuple(int(x) for x in cell)
             break
-    assert _first_below([(v[sel], sel) for v, sel in parts], c) == want
+    assert _first_below(term, mask, c) == want
+
+
+def test_first_below_reads_one_1D_factor_per_axis():
+    # a term or a mask of one 2D factor, or a term of too few factors
+    term, mask = _whole([1, 2], [3, 4])
+    dense = (np.multiply.outer(*term),)
+    for args in [(dense, mask), (term, BitMask(mask.grid, (mask.values,))), (term[:1], mask)]:
+        with pytest.raises(ParameterError, match="one 1D factor per grid axis"):
+            _first_below(*args, 1)
+    assert _first_below(term, mask, 4) == (0, 0)
 
 
 def test_class_counts_past_int64():
