@@ -25,22 +25,19 @@ so is a shape's field: the outer product of its factors' fields.
 Within one `maximal_field` call each factor field is built once per
 factor object, window, reach and shift, and terms share it read-only.
 A field (`AverageField`) is held the same way, as the maximum over
-terms of the outer product of each term's factors.  The factor count
-alone sets the terms: on a mask of one factor the shapes fold into one
-running maximum, a dense field of one term; on a mask of several
-factors, the empty mask included, each shape is a term of its own,
-each factor zero outside the shape's reach, so with 1D factors the
-kernel builds no grid-sized array.  An empty mask takes the general
-path, with the one cell at the origin as its support box.  A field's
-`num` and a mask's `values` are built on each read, so neither goes
-stale.  Masks and fields compare by identity.
+terms of the outer product of each term's factors.  Every mask gets
+one term per shape, each factor zero outside the shape's reach, so
+with 1D factors the kernel builds no grid-sized array.  An empty mask
+takes the general path, with the one cell at the origin as its
+support box.  A field's `num` and a mask's `values` are built on each
+read, so neither goes stale.  Masks and fields compare by identity.
 
 A field's superlevel measures (`superlevel_measure`) are counted over
 its value classes (`value_classes`), the cells of a factor axis that
 every term holds alike, with the axes but the last folded into one: a
 maximum of outer products is one value per pair of classes.
-`dyadicmax.verify` measures the cube's field, the family field and the
-indicator of ∪Y(i) this way, one field at a time.
+`dyadicmax.verify` measures the cube's field and the family field this
+way, one field at a time.
 
 Only cell-aligned translates are enumerated and cells outside the
 bounding box count as zero, so every superlevel measure reported here
@@ -167,9 +164,9 @@ class AverageField:
     0 <= num <= 2^denom_exp, in min_scalar_type(2^denom_exp).
 
     The field is the maximum over its terms of the outer product of each
-    term's factors, arrays whose shapes concatenate to grid.shape:
-    ((num,),) for a dense field, or one 1D array per grid axis for each
-    shape of a rasterized mask."""
+    term's factors, arrays whose shapes concatenate to grid.shape.
+    `maximal_field` gives one term per shape, its factors laid out like
+    the mask's: one 1D array per grid axis for a rasterized mask."""
 
     grid: GridSpec
     terms: tuple[tuple[np.ndarray, ...], ...]
@@ -190,9 +187,10 @@ class AverageField:
 
     @property
     def num(self) -> np.ndarray:
-        """The dense field, built on each read: a dense field's one factor
-        itself, else the maximum of the terms' outer products."""
-        return reduce(np.maximum, (reduce(np.multiply.outer, t) for t in self.terms))
+        """The dense field, a fresh array built on each read: the maximum
+        of the terms' outer products, started at False, which keeps their
+        type and, as every numerator is >= 0, their values."""
+        return reduce(np.maximum, (reduce(np.multiply.outer, t) for t in self.terms), False)
 
 
 def rasterize(E: CrystalND, grid: GridSpec) -> BitMask:
@@ -327,17 +325,12 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     the placements containing a cell is the product of the per-factor
     maxima, and a shape's field on its reach is the outer product of its
     factors' fields, each taken on the factor's own axes from the
-    factor's own prefix table.  On a mask of several factors, each shape
-    is one term of the returned field: its factors' fields, each padded
-    with zeros outside the reach.  A factor field depends only on the
-    factor, its window, its reach and, for the first factor, the shift
-    below, so it is built once per key in a call and is read-only: the
-    n - 1 identical X axes of E, or a side that several shapes share,
-    reuse one array.  On a mask of one factor, the shapes
-    fold into one dense field: each shape's field is maxed into a
-    zero-filled field on its reach, except that a first shape whose
-    reach is the whole grid is the running maximum itself, so a mask
-    whose support fills the grid pays no zero-fill.
+    factor's own prefix table.  Each shape is one term of the returned
+    field, in order: its factors' fields, each padded with zeros outside
+    the reach.  A factor field depends only on the factor, its window,
+    its reach and, for the first factor, the shift below, so it is built
+    once per key in a call and is read-only: the n - 1 identical X axes
+    of E, or a side that several shapes share, reuse one array.
 
     Per axis, log2(w) doubling passes turn the M = a1 - a0 + 1 anchor
     counts into the M + w - 1 cell maxima of the reach (w is a power of
@@ -373,7 +366,6 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
         layout.append((id(f), f.shape, P, slice(start, start + f.ndim)))
         start += f.ndim
     dims = grid.shape
-    share = len(layout) > 1  # else the shapes fold into one field
     fields = {}  # factor fields by factor object, window, reach and shift
     terms = []
     for shape, window in zip(shapes, windows):
@@ -385,30 +377,22 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
         )
         reach = tuple(slice(a, b) for a, b in ends)
         crop = tuple(slice(a, b + 1) for a, b in ends)
-        fold = not share and bool(terms)  # into the running maximum
         shift = D - (shape.volume_exponent - grid.cell_volume_exponent)
-        term = []  # the shape's factors: zero outside the reach, or the reach to fold
+        term = []  # the shape's factors, each zero outside the reach
         for fid, fshape, P, ax in layout:
             key = (fid, window[ax], ends[ax], shift)
-            S = fields.get(key)
-            if S is None:
+            if key not in fields:
                 S = _window_maxima(_placement_counts(P[crop[ax]], window[ax]), window[ax])
                 if shift:
                     S <<= shift
-                if not fold and S.shape != fshape:
+                if S.shape != fshape:
                     S, inner = np.zeros(fshape, dt), S
                     S[reach[ax]] = inner
-                if share:  # terms may share it, so it is read-only
-                    S.flags.writeable = False
-                    fields[key] = S
-            term.append(S)
+                S.flags.writeable = False  # terms may share it
+                fields[key] = S
+            term.append(fields[key])
             shift = 0  # folded into the first factor only
-        if fold:
-            (out,) = terms[0]
-            part = out[reach]
-            np.maximum(part, term[0], out=part)
-        else:
-            terms.append(tuple(term))
+        terms.append(tuple(term))
     return AverageField(grid, tuple(terms), D)
 
 
@@ -449,8 +433,7 @@ def value_classes(field: AverageField):
     the class pair (a, b) is the maximum over its terms of
     rows[t, a] * last_rows[t, b], on counts[a] * last_counts[b] cells.
     Products wrap modulo 2^bits, which leaves exact every full product,
-    at most 2^denom_exp.  A set's indicator is a field of bool factors
-    over 2^0: its rows take a byte a cell, and `*` is AND."""
+    at most 2^denom_exp."""
     if len({tuple(f.shape for f in t) for t in field.terms}) != 1:
         raise ParameterError("field terms must share one factor layout")
     dt = np.min_scalar_type(1 << field.denom_exp)

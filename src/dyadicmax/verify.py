@@ -26,18 +26,20 @@ the product of the term's factors is below c.  It reads E ⊂ Y(i) (Y(i)'s
 factors over E), the R(i) field over Y(i), and the inclusion (the
 family field's term of R(i) over Y(i)), factor by factor, and refuses
 terms and masks of any other layout.  S and S_alt are superlevel
-measures of the family field and |∪Y(i)| one of the indicator of
-∪Y(i), each counted over that one field's value classes
-(`superlevel_measure`).  A passing `verify_theorem` builds no array of
-the grid's size; the cell budget still counts the grid's cells.
+measures of the family field, counted over its value classes
+(`superlevel_measure`).  The union of the R(i) and that of the Y(i) are
+both measured as unions of anchored boxes (`anchored_union_measure`);
+`check_disjointness` says why the Y(i) are such boxes.  A passing
+`verify_theorem` builds no array of the grid's size; the cell budget
+still counts the grid's cells.
 
 A `VerificationReport` stores what a run measured and the outcome of
 each check; it derives the sharpness ratio and the verdict from them.
 
 The unit-cube example (`cube_counterexample`) is evaluated as a
 product: one 1D field of [0, 1] over the side exponents 0..m (the
-field's `num`, a mask of one factor giving one folded term), whose
-n-fold product is counted over value classes like the theorem's fields.
+`num` of its m + 1 terms), whose n-fold product is counted over value
+classes like the theorem's fields.
 
 Aligned evaluation under-estimates the true maximal operator, which is
 the safe direction for these lower bounds.
@@ -246,8 +248,17 @@ class DisjointnessResult:
 
 def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     """Independence of the primitive rectangles plus the exact overlap
-    ratio of the union of the Y(i), counted over its indicator's value
-    classes."""
+    ratio of the union of the Y(i), both measured as unions of anchored
+    boxes (`anchored_union_measure`).
+
+    On each grid axis the Y(i)'s rasterized factors must form a chain,
+    each a subset of the next by set-cell count, or `ConstructionError`
+    is raised.  Rank a coordinate by the first link that holds it: a
+    cell lies in Y(i) iff on every axis its rank is at most that of
+    Y(i)'s factor.  A link's measure is 2^e, e its crystal's measure
+    exponent (`Crystal1D.cells` checks the count), so ∪Y(i) measures as
+    the union of the anchored boxes [0, 2^e_1] x ... of the Y(i), whose
+    compressed cells are exactly the differences of consecutive links."""
     shapes = [instance.R[i] for i in instance.indices]
     au = anchored_union_measure(shapes)
     min_delta = min(
@@ -255,8 +266,14 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
         for diff, s in zip(au.differences, shapes)
     )
     masks = [rasterize(instance.Y[i], instance.grid) for i in instance.indices]
-    union = AverageField(instance.grid, tuple(y.factors for y in masks), 0)
-    (union_Y,) = superlevel_measure(union, DyadicRational.pow2(0))
+    for axis in zip(*(y.factors for y in masks)):
+        chain = sorted({id(f): f for f in axis}.values(), key=np.count_nonzero)
+        if any((a > b).any() for a, b in zip(chain, chain[1:])):
+            raise ConstructionError("the Y(i) are not nested on every axis")
+    union_Y = anchored_union_measure(
+        Shape(tuple(c.measure_exponent for c in instance.Y[i].factors))
+        for i in instance.indices
+    ).union
     sum_Y = sum(
         (crystal_measure(instance.Y[i]) for i in instance.indices),
         DyadicRational(0, 0),

@@ -6,7 +6,8 @@ homogeneity field per R(i), the family field's `num`, its superlevel
 masks and the mask of the union of the Y(i).  It is the middle link of
 the oracle chain: `bruteforce.py` checks the evaluator, this checks the
 per-axis class path of `dyadicmax.verify`.  Every field comes from a
-mask of one dense factor, so no per-axis term reaches it.
+mask of one dense factor, so each of its terms is one grid-sized array,
+and the oracle reads only the fields' `num`.
 """
 
 from __future__ import annotations

@@ -487,8 +487,8 @@ class TestFactoredMaskAnswers:
     from its factors, and builds its values only when they are read; its
     field holds one term per shape, the empty mask's included, laid out
     like the mask's factors.
-    Its dense copy, its own single factor, answers from the grid and is
-    the oracle."""
+    Its dense copy, its own single factor, answers from the grid with one
+    term per shape too, and is the oracle."""
 
     @given(case=factored_masks())
     @settings(max_examples=60, deadline=None)
@@ -512,7 +512,7 @@ class TestFactoredMaskAnswers:
             assert _support_box(mask) == _support_box(dense)
             assert np.array_equal(table, whole_table(dense))
             want = maximal_field(dense, shapes)
-            assert len(want.terms) == 1
+            assert len(want.terms) == len(shapes)
             assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
             assert np.array_equal(fld.num, want.num)
 
@@ -559,16 +559,24 @@ class TestRepeatedFactors:
     @given(case=repeated_factor_masks())
     @settings(max_examples=60, deadline=None)
     def test_each_term_is_its_shapes_own_field(self, case):
-        # term k of a per-axis mask's field, the empty mask's included, is
-        # shape k's own field, shifted to the common denominator
+        # term k of a field, the empty mask's included, is shape k's own
+        # field, shifted to the common denominator: on the per-axis mask,
+        # and on the masks of one factor, its dense copy and its first axis
         mask, shapes = case
-        fld = maximal_field(mask, shapes)
-        assert len(fld.terms) == len(shapes)
-        for term, shape in zip(fld.terms, shapes):
-            own = maximal_field(mask, [shape])
-            got = AverageField(fld.grid, (term,), fld.denom_exp).num
-            want = own.num.astype(got.dtype) << (fld.denom_exp - own.denom_exp)
-            assert np.array_equal(got, want)
+        grid = mask.grid
+        first = GridSpec(grid.resolution[:1], grid.extent[:1])
+        for m, shs in [
+            (mask, shapes),
+            (BitMask(grid, (mask.values.copy(),)), shapes),
+            (BitMask(first, mask.factors[:1]), [Shape(s.exponents[:1]) for s in shapes]),
+        ]:
+            fld = maximal_field(m, shs)
+            assert len(fld.terms) == len(shs)
+            for term, shape in zip(fld.terms, shs):
+                own = maximal_field(m, [shape])
+                got = AverageField(fld.grid, (term,), fld.denom_exp).num
+                want = own.num.astype(got.dtype) << (fld.denom_exp - own.denom_exp)
+                assert np.array_equal(got, want)
 
 
 def assert_field_matches_naive(mask, rects):
@@ -623,8 +631,8 @@ class TestMaximalField:
     @example(case=_cells_case((16, 16), [(1, 14)], [(3, 3), (2, 0)]))
     @example(case=_cells_case((16, 16), [(14, 1), (13, 2)], [(3, 3), (0, 2)]))
     # a reach equal to the whole grid (cells 7 and 8 meet every 8-cell
-    # window) after one that is not, and a whole-grid window first, with
-    # a smaller reach folded into it
+    # window) after one that is not, and a whole-grid window first, then
+    # a smaller reach
     @example(case=_cells_case((16,), [(7,), (8,)], [(1,), (3,)]))
     @example(case=_cells_case((16, 8), [(5, 2)], [(4, 3), (1, 1)]))
     @settings(max_examples=80, deadline=None)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dyadicmax
-from dyadicmax.crystal import Crystal1D, ScaleSet, Shape, product_crystal
+from dyadicmax.crystal import Crystal1D, CrystalND, ScaleSet, Shape, product_crystal
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import (
     BudgetExceededError,
@@ -355,6 +355,42 @@ class TestDisjointness:
             len(inst.indices), 0
         ) * inst.measure_E().scale2(inst.m - 1)
         assert 0 < d.rho <= 1
+
+    @staticmethod
+    def closed_form_union_Y(inst) -> Fraction:
+        """|∪Y(i)| = |E| 2^(m-1) sum_j C(n-1, j) C(m-1, j) 2^-j."""
+        n, m = inst.n, inst.m
+        terms = (Fraction(math.comb(n - 1, j) * math.comb(m - 1, j), 2**j) for j in range(n))
+        return inst.measure_E().as_fraction() * 2 ** (m - 1) * sum(terms)
+
+    # every draw has n (m - 1) d <= 60, a grid of at most 2^60 cells
+    @given(
+        n=st.integers(2, 4), d=st.integers(1, 3), m=st.integers(2, 6), u0=st.integers(-4, 4)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_union_Y_against_the_closed_form(self, n, d, m, u0):
+        inst = build_instance(n, range(u0, u0 + m * d, d), budget=1 << 200)
+        union_Y = check_disjointness(inst).union_Y
+        assert union_Y.as_fraction() == self.closed_form_union_Y(inst)
+
+    def test_union_Y_past_the_dense_frontier(self):
+        # n = 2, step 2, m = 12: a grid of 2^44 cells
+        inst = build_instance(2, range(0, 24, 2), budget=1 << 200)
+        assert inst.grid.cells_exponent == 44
+        d = check_disjointness(inst)
+        assert d.union_Y.as_fraction() == self.closed_form_union_Y(inst)
+        assert d.union_Y == inst.measure_E() * DyadicRational(13, 10)
+        assert d.rho == Fraction(13, 24)
+
+    def test_Y_not_nested_on_an_axis_raises(self):
+        # Y((0,))'s first axis {0, 2} beside Y((1,))'s {0, 1}: neither
+        # holds the other, so no chain of ranks measures their union
+        inst = build_instance(2, range(3))
+        Y0 = inst.Y[(0,)]
+        odd = CrystalND((Crystal1D(ScaleSet((0, 2))), *Y0.factors[1:]))
+        bad = dataclasses.replace(inst, Y={**inst.Y, (0,): odd})
+        with pytest.raises(ConstructionError, match="not nested"):
+            check_disjointness(bad)
 
 
 class TestVerifyTheorem:
