@@ -22,22 +22,25 @@ that share a factor object share its axis.  Measure, support box and
 the prefix tables (one per factor, in the kernel's type) are each one
 formula over the factors, worked once per distinct factor object, and
 so is a shape's field: the outer product of its factors' fields.
-Within one `maximal_field` call each factor field is built once per
-factor object, window, reach and shift, and terms share it read-only.
 A field (`AverageField`) is held the same way, as the maximum over
-terms of the outer product of each term's factors.  Every mask gets
-one term per shape, each factor zero outside the shape's reach, so
-with 1D factors the kernel builds no grid-sized array.  An empty mask
-takes the general path, with the one cell at the origin as its
-support box.  A field's `num` and a mask's `values` are built on each
-read, so neither goes stale.  Masks and fields compare by identity.
+terms of the outer product of each term's factors, in one layout: per
+factor, a stack of its distinct arrays, and a table naming each term's
+row in each stack.  Within one `maximal_field` call each factor field
+is built once per factor object, window, reach and shift, as a row of
+that factor object's one read-only stack, zero outside the reach; a
+mask's axes that share a factor object share its stack.  Every mask
+gets one term per shape, so with 1D factors the kernel builds no
+grid-sized array.  An empty mask takes the general path, with the one
+cell at the origin as its support box.  A field's `num` and a mask's
+`values` are built on each read, so neither goes stale.  Masks and
+fields compare by identity.
 
 A field's superlevel measures (`superlevel_measure`) are counted over
-its value classes (`value_classes`), the cells of a factor axis that
-every term holds alike, with the axes but the last folded into one: a
-maximum of outer products is one value per pair of classes.
-`dyadicmax.verify` measures the cube's field and the family field this
-way, one field at a time.
+its value classes (`value_classes`): on each factor axis, the cells
+that every row of the axis's stack holds alike, with the axes but the
+last folded into one, so a maximum of outer products is one value per
+pair of classes.  `dyadicmax.verify` measures the cube's field and the
+family field this way, one field at a time.
 
 Only cell-aligned translates are enumerated and cells outside the
 bounding box count as zero, so every superlevel measure reported here
@@ -47,7 +50,7 @@ is a certified lower bound for the true maximal operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import index
 
@@ -161,29 +164,46 @@ class BitMask:
 @dataclass(frozen=True, eq=False)
 class AverageField:
     """Per-cell exact averages num * 2^(-denom_exp) on the grid, so
-    0 <= num <= 2^denom_exp, in min_scalar_type(2^denom_exp).
+    0 <= num <= 2^denom_exp.
 
     The field is the maximum over its terms of the outer product of each
-    term's factors, arrays whose shapes concatenate to grid.shape.
-    `maximal_field` gives one term per shape, its factors laid out like
-    the mask's: one 1D array per grid axis for a rasterized mask."""
+    term's factors.  The distinct arrays of factor j are the rows of the
+    stack rows[j], k_j x the factor's shape, and the factor shapes
+    concatenate to grid.shape; term t takes row index[t, j] of each
+    stack, so a factor array that several terms share is held once.
+    Rows are bool or unsigned and no wider than
+    min_scalar_type(2^denom_exp), and index is a nonempty
+    T x len(rows) integer table of row numbers, or `ParameterError` is
+    raised.  `maximal_field` gives one term per shape, its factors laid
+    out like the mask's, and one read-only stack per factor object."""
 
     grid: GridSpec
-    terms: tuple[tuple[np.ndarray, ...], ...]
+    rows: tuple[np.ndarray, ...]
+    index: np.ndarray
     denom_exp: int
 
     def __post_init__(self):
-        ts = self.terms
-        ok = isinstance(ts, tuple) and ts and all(
-            isinstance(t, tuple) and all(isinstance(f, np.ndarray) for f in t)
-            and sum((f.shape for f in t), ()) == self.grid.shape
-            for t in ts
-        )
-        if not ok:
-            raise ParameterError(
-                "field terms must be a nonempty tuple of tuples of ndarrays whose "
-                f"shapes concatenate to {self.grid.shape}"
+        wide = np.min_scalar_type(1 << self.denom_exp).itemsize
+        if not (
+            isinstance(self.rows, tuple) and self.rows and all(
+                isinstance(r, np.ndarray) and r.ndim > 1 and r.dtype.kind in "bu"
+                and r.dtype.itemsize <= wide for r in self.rows
             )
+            and sum((r.shape[1:] for r in self.rows), ()) == self.grid.shape
+            and isinstance(self.index, np.ndarray) and self.index.dtype.kind in "iu"
+            and self.index.ndim == 2 and self.index.shape[1] == len(self.rows) and len(self.index)
+            and all(0 <= k < len(r) for t in self.index.tolist() for r, k in zip(self.rows, t))
+        ):
+            raise ParameterError(
+                "field rows must be bool or unsigned stacks no wider than 2^denom_exp whose rows' "
+                f"shapes concatenate to {self.grid.shape}, and index a table of their row numbers"
+            )
+
+    @property
+    def terms(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Each term's factors, views of its stacks' rows, built on each
+        read."""
+        return tuple(tuple(r[k] for r, k in zip(self.rows, t)) for t in self.index.tolist())
 
     @property
     def num(self) -> np.ndarray:
@@ -214,10 +234,7 @@ def prefix_sums(mask: BitMask, dtype=np.int64) -> list[np.ndarray]:
     The box [0, i) of a product set meets it in the product of its
     factors' parts, so the mask's table is the outer product of these;
     it is never built."""
-    tables = _per_object(mask.factors, lambda f: _cumulative(f, dtype))
-    for P in tables:
-        P.flags.writeable = False
-    return tables
+    return _per_object(mask.factors, lambda f: _cumulative(f, dtype))
 
 
 def _per_object(factors, build) -> list:
@@ -230,12 +247,14 @@ def _per_object(factors, build) -> list:
 
 
 def _cumulative(values: np.ndarray, dtype) -> np.ndarray:
-    """The zero-padded prefix table of a bool array, one pass per axis."""
+    """The zero-padded, read-only prefix table of a bool array, one pass
+    per axis."""
     P = np.zeros(tuple(n + 1 for n in values.shape), dtype=dtype)
     inner = P[(slice(1, None),) * values.ndim]
     inner[...] = values  # casting once is faster than a casting cumsum
     for ax in range(values.ndim):
-        np.cumsum(inner, axis=ax, dtype=dtype, out=inner)
+        inner.cumsum(axis=ax, dtype=dtype, out=inner)
+    P.flags.writeable = False
     return P
 
 
@@ -326,11 +345,13 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     maxima, and a shape's field on its reach is the outer product of its
     factors' fields, each taken on the factor's own axes from the
     factor's own prefix table.  Each shape is one term of the returned
-    field, in order: its factors' fields, each padded with zeros outside
-    the reach.  A factor field depends only on the factor, its window,
-    its reach and, for the first factor, the shift below, so it is built
-    once per key in a call and is read-only: the n - 1 identical X axes
-    of E, or a side that several shapes share, reuse one array.
+    field, in order: its row of the index table names its factors'
+    fields, each zero outside the reach.  A factor field depends only on
+    the factor, its window, its reach and, for the first factor, the
+    shift below, so it is built once per key in a call, as one row of
+    the factor object's stack.  Each stack is zero-filled once and is
+    read-only: the n - 1 identical X axes of E share one, and a side
+    that several shapes share is one row of it.
 
     Per axis, log2(w) doubling passes turn the M = a1 - a0 + 1 anchor
     counts into the M + w - 1 cell maxima of the reach (w is a power of
@@ -361,39 +382,43 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     dt = np.min_scalar_type(1 << D)
     box = _support_box(mask)
-    layout, start = [], 0  # each factor, its prefix table and its grid axes
+    # per factor object, its fields by window, ends and shift: each one's
+    # row number in the factor's stack, the prefix entries its counts
+    # need and its reach
+    fields, layout, start = {}, [], 0
     for f, P in zip(mask.factors, prefix_sums(mask, dt)):
-        layout.append((id(f), f.shape, P, slice(start, start + f.ndim)))
+        layout.append((fields.setdefault(id(f), {}), P, slice(start, start + f.ndim)))
         start += f.ndim
-    dims = grid.shape
-    fields = {}  # factor fields by factor object, window, reach and shift
-    terms = []
+    table = []
     for shape, window in zip(shapes, windows):
         # per axis the reach [a0, a1 + w) of the anchors [a0, a1] whose
         # windows meet the support box; their counts need P[a0 : a1 + w + 1]
         ends = tuple(
             (max(0, lo - w + 1), min(hi, N - w) + w)
-            for (lo, hi), w, N in zip(box, window, dims)
+            for (lo, hi), w, N in zip(box, window, grid.shape)
         )
         reach = tuple(slice(a, b) for a, b in ends)
         crop = tuple(slice(a, b + 1) for a, b in ends)
         shift = D - (shape.volume_exponent - grid.cell_volume_exponent)
-        term = []  # the shape's factors, each zero outside the reach
-        for fid, fshape, P, ax in layout:
-            key = (fid, window[ax], ends[ax], shift)
-            if key not in fields:
-                S = _window_maxima(_placement_counts(P[crop[ax]], window[ax]), window[ax])
-                if shift:
-                    S <<= shift
-                if S.shape != fshape:
-                    S, inner = np.zeros(fshape, dt), S
-                    S[reach[ax]] = inner
-                S.flags.writeable = False  # terms may share it
-                fields[key] = S
-            term.append(fields[key])
+        row = []
+        for built, P, ax in layout:
+            key = (window[ax], ends[ax], shift)
+            if key not in built:
+                built[key] = (len(built), P[crop[ax]], reach[ax])
+            row.append(built[key][0])
             shift = 0  # folded into the first factor only
-        terms.append(tuple(term))
-    return AverageField(grid, tuple(terms), D)
+        table.append(row)
+
+    def stack(f):  # a factor object's fields, each zero outside its reach
+        rows = np.zeros((len(fields[id(f)]), *f.shape), dt)
+        for (w, _, shift), (k, P, reach) in fields[id(f)].items():
+            rows[k][reach] = _window_maxima(_placement_counts(P, w), w)
+            if shift:
+                rows[k] <<= shift  # zeros stay zero
+        rows.flags.writeable = False  # terms share its rows
+        return rows
+
+    return AverageField(grid, tuple(_per_object(mask.factors, stack)), np.array(table), D)
 
 
 def _count_threshold(denom_exp: int, threshold: DyadicRational) -> int:
@@ -421,28 +446,25 @@ def superlevel_measure(field: AverageField, *thresholds: DyadicRational) -> tupl
 
 
 def value_classes(field: AverageField):
-    """A field of one factor layout counted over classes of cells:
-    ((rows, counts), (last_rows, last_counts)), or ParameterError.
+    """A field counted over classes of cells:
+    ((rows, counts), (last_rows, last_counts)).
 
-    On each factor axis, the cells at which every term holds the same
-    value form a class (one `np.lexsort` of the stacked term rows).  The
-    axes but the last fold into one: each step multiplies the rows out
-    over pairs of classes, merges equal columns and sums their cell
-    counts, int64 below 2^63 cells and Python ints above.  rows holds a
-    row per term in min_scalar_type(2^denom_exp), so the field's value on
-    the class pair (a, b) is the maximum over its terms of
-    rows[t, a] * last_rows[t, b], on counts[a] * last_counts[b] cells.
-    Products wrap modulo 2^bits, which leaves exact every full product,
-    at most 2^denom_exp."""
-    if len({tuple(f.shape for f in t) for t in field.terms}) != 1:
-        raise ParameterError("field terms must share one factor layout")
+    On each factor axis, the cells at which every row of the axis's stack
+    holds the same value form a class (one `np.lexsort` per distinct
+    stack), so every term holds them alike; the index table expands the
+    class rows to one row per term.  The axes but the last fold into one:
+    each step multiplies the rows out over pairs of classes, merges equal
+    columns and sums their cell counts, int64 below 2^63 cells and Python
+    ints above.  rows holds a row per term in
+    min_scalar_type(2^denom_exp), so the field's value on the class pair
+    (a, b) is the maximum over its terms of rows[t, a] * last_rows[t, b],
+    on counts[a] * last_counts[b] cells.  Products wrap modulo 2^bits,
+    which leaves exact every full product, at most 2^denom_exp."""
     dt = np.min_scalar_type(1 << field.denom_exp)
-    axes = []
-    for j in range(len(field.terms[0])):
-        rows, counts = _distinct_columns(np.array([t[j].ravel() for t in field.terms]))
-        axes.append((rows.astype(dt, copy=False), counts))
+    classes = _per_object(field.rows, lambda r: _distinct_columns(r.reshape(len(r), -1)))
+    axes = [(r.astype(dt, copy=False)[col], size) for (r, size), col in zip(classes, field.index.T)]
     cells = np.int64 if field.grid.cells_exponent < 63 else object
-    rows, counts = np.ones((len(field.terms), 1), dt), np.ones(1, cells)
+    rows, counts = np.ones((len(field.index), 1), dt), np.ones(1, cells)
     for step, size in axes[:-1]:
         if counts.size == 1:  # one class: merging would only compress
             rows, counts = rows * step, counts * size.astype(cells)
@@ -472,15 +494,26 @@ def _distinct_columns(block, weights=None):
     return rows, np.add.reduceat(weights[order], first)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchoredUnion:
     union: DyadicRational
-    differences: tuple[DyadicRational, ...]  # |R_i \ union of the others|
+    # the compressed grid (`anchored_union_measure`): each cell's volume
+    # in units of 2^unit, the number of boxes covering it, the boxes, unit
+    cells: tuple = field(repr=False)
+
+    @cached_property
+    def differences(self) -> tuple[DyadicRational, ...]:
+        """Each |R_i \\ union of the others|, read from the compressed grid
+        when first asked for: the volume of box i's cells that no other
+        box covers.  A caller that reads only the union builds none."""
+        volume, count, boxes, unit = self.cells
+        return tuple(DyadicRational(int(volume[b][count[b] == 1].sum()), unit) for b in boxes)
 
 
 def anchored_union_measure(shapes) -> AnchoredUnion:
     """Exact measure of the union of anchored boxes [0, 2^e_1] x ...,
-    plus each |R_i \\ union of the other boxes|.
+    plus each |R_i \\ union of the other boxes| once it is read
+    (`AnchoredUnion.differences`).
 
     Each axis is compressed to its distinct exponents e_(0) < e_(1) < ...;
     compressed cell k spans [2^e_(k-1), 2^e_(k)] (with 2^e_(-1) = 0) and
@@ -489,11 +522,10 @@ def anchored_union_measure(shapes) -> AnchoredUnion:
     boxes covering each cell: the union is the volume of the cells
     counted at least once, and the part of box i outside the others is
     the volume of its cells counted exactly once.  Volumes are products
-    of the widths in Python ints."""
+    of the widths in Python ints.  No shapes give the empty grid of one
+    cell, which no box covers."""
     shapes = list(shapes)
-    if not shapes:
-        return AnchoredUnion(DyadicRational(0, 0), ())
-    if len({len(s) for s in shapes}) != 1:
+    if len({len(s) for s in shapes}) > 1:
         raise ParameterError("shapes must share a dimension")
     ranks, widths, unit = [], [], 0
     for col in zip(*(s.exponents for s in shapes)):
@@ -504,14 +536,10 @@ def anchored_union_measure(shapes) -> AnchoredUnion:
         )
         ranks.append([exps.index(e) for e in col])
         unit += exps[0]
-    volume = reduce(np.multiply.outer, widths)
+    volume = reduce(np.multiply.outer, widths, np.ones((), object))
     count = np.zeros(volume.shape, dtype=np.intp)
-    boxes = [tuple(slice(0, k + 1) for k in r) for r in zip(*ranks)]
+    boxes = tuple(tuple(slice(0, k + 1) for k in r) for r in zip(*ranks))
     for box in boxes:
         count[box] += 1
-    union = int(volume[count > 0].sum())
-    private = (int(volume[box][count[box] == 1].sum()) for box in boxes)
-    return AnchoredUnion(
-        DyadicRational(union, unit),
-        tuple(DyadicRational(p, unit) for p in private),
-    )
+    union = DyadicRational(int(volume[count > 0].sum()), unit)
+    return AnchoredUnion(union, (volume, count, boxes, unit))

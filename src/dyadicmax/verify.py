@@ -19,17 +19,20 @@ A run has 2m distinct axis crystals, X over each suffix u[j:] and Z
 over the last s+1 scales of -h; E and every Y(i) are tuples of those
 objects, so each axis is rasterized and checked once per run (the
 crystal keeps it) and every other `rasterize` is a lookup.  Each field
-of E is a maximum of outer products of per-axis factors, and each Y(i)
-is the outer AND of its axes.  One reader, `_first_below(term, mask,
-c)`, makes every per-index test: the first cell of the mask at which
-the product of the term's factors is below c.  It reads E ⊂ Y(i) (Y(i)'s
-factors over E), the R(i) field over Y(i), and the inclusion (the
-family field's term of R(i) over Y(i)), factor by factor, and refuses
-terms and masks of any other layout.  S and S_alt are superlevel
-measures of the family field, counted over its value classes
-(`superlevel_measure`).  The union of the R(i) and that of the Y(i) are
-both measured as unions of anchored boxes (`anchored_union_measure`);
-`check_disjointness` says why the Y(i) are such boxes.  A passing
+of E is a maximum of outer products of per-axis factors, held as one
+stack of distinct rows per axis (the n - 1 X axes share one) and a
+table naming each term's rows, and each Y(i) is the outer AND of its
+axes.  One reader, `_first_below(term, mask, c)`, makes every
+per-index test: the first cell of the mask at which the product of the
+term's factors is below c.  It reads E ⊂ Y(i) (Y(i)'s factors over E),
+the R(i) field over Y(i), and the inclusion (the family field's term of
+R(i), its rows named by the table, over Y(i)), factor by factor, and
+refuses terms and masks of any other layout.  S and S_alt are
+superlevel measures of the family field, counted over its value
+classes (`superlevel_measure`).  The union of the R(i) and that of the
+Y(i) are both measured as unions of anchored boxes
+(`anchored_union_measure`); `check_disjointness` says why the Y(i) are
+such boxes, and reads only the union of the second.  A passing
 `verify_theorem` builds no array of the grid's size; the cell budget
 still counts the grid's cells.
 
@@ -38,8 +41,9 @@ each check; it derives the sharpness ratio and the verdict from them.
 
 The unit-cube example (`cube_counterexample`) is evaluated as a
 product: one 1D field of [0, 1] over the side exponents 0..m (the
-`num` of its m + 1 terms), whose n-fold product is counted over value
-classes like the theorem's fields.
+`num` of its m + 1 terms), whose n-fold product, a field of one term
+whose n stacks are that one row, is counted over value classes like
+the theorem's fields.
 
 Aligned evaluation under-estimates the true maximal operator, which is
 the safe direction for these lower bounds.
@@ -258,7 +262,8 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     Y(i)'s factor.  A link's measure is 2^e, e its crystal's measure
     exponent (`Crystal1D.cells` checks the count), so ∪Y(i) measures as
     the union of the anchored boxes [0, 2^e_1] x ... of the Y(i), whose
-    compressed cells are exactly the differences of consecutive links."""
+    compressed cells are exactly the differences of consecutive links.
+    Only that union is read, so no Y(i)'s private volume is built."""
     shapes = [instance.R[i] for i in instance.indices]
     au = anchored_union_measure(shapes)
     min_delta = min(
@@ -461,7 +466,8 @@ def cube_counterexample(
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])
     grid = GridSpec((0,) * n, (m,) * n, budget)
     thr = DyadicRational.pow2(-m)
-    (S,) = superlevel_measure(AverageField(grid, ((fld.num,) * n,), n * fld.denom_exp), thr)
+    field = AverageField(grid, (fld.num[None],) * n, np.zeros((1, n), np.intp), n * fld.denom_exp)
+    (S,) = superlevel_measure(field, thr)
     runtime = (time.perf_counter() - t0) * 1000.0
     nshapes = (m + 1) ** n
     return VerificationReport(

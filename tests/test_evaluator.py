@@ -1,13 +1,12 @@
 import dataclasses
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -34,6 +33,7 @@ from dyadicmax.evaluator import (
     superlevel_measure,
     value_classes,
 )
+from dyadicmax.family import generate_shapes
 from dyadicmax.verify import build_instance
 
 rng = np.random.default_rng(20260824)
@@ -295,9 +295,9 @@ class TestBitMaskContract:
             BitMask(grid, factors)
 
     def test_field_num_follows_writes_to_the_factors(self):
-        # num is built on each read, as value_classes reads the factors
+        # num is built on each read, as value_classes reads the rows
         a, b = np.ones(2, np.uint8), np.ones(2, np.uint8)
-        f = AverageField(GridSpec((0, 0), (1, 1)), ((a, b),), 0)
+        f = AverageField(GridSpec((0, 0), (1, 1)), (a[None], b[None]), np.zeros((1, 2), int), 0)
         assert f.num.sum() == 4
         a[0] = 0
         assert f.num.sum() == 2
@@ -498,9 +498,8 @@ class TestFactoredMaskAnswers:
             measure, box = mask.measure(), _support_box(mask)
             table, fld = whole_table(mask), maximal_field(mask, shapes)
             assert "values" not in vars(mask)  # all read from the factors
-            assert len(fld.terms) == len(shapes)
-            for term in fld.terms:
-                assert [f.shape for f in term] == [f.shape for f in mask.factors]
+            assert fld.index.shape == (len(shapes), len(mask.factors))
+            assert [r.shape[1:] for r in fld.rows] == [f.shape for f in mask.factors]
             dense = BitMask(grid, (mask.values.copy(),))
             assert measure == mask.measure() and box == _support_box(mask)
             assert tuple(f.ndim for f in mask.factors) == ndims
@@ -512,7 +511,7 @@ class TestFactoredMaskAnswers:
             assert _support_box(mask) == _support_box(dense)
             assert np.array_equal(table, whole_table(dense))
             want = maximal_field(dense, shapes)
-            assert len(want.terms) == len(shapes)
+            assert want.index.shape == (len(shapes), 1)
             assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
             assert np.array_equal(fld.num, want.num)
 
@@ -548,10 +547,11 @@ class TestRepeatedFactors:
         want = maximal_field(BitMask(mask.grid, (mask.values.copy(),)), shapes)
         assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
         assert np.array_equal(fld.num, want.num)
-        # every factor array that two term slots share is read-only
-        slots = Counter(id(f) for t in fld.terms for f in t)
-        for f in {id(f): f for t in fld.terms for f in t}.values():
-            assert slots[id(f)] == 1 or not f.flags.writeable
+        # one read-only stack per factor object, so terms share its rows
+        assert all(not r.flags.writeable for r in fld.rows)
+        for j, f in enumerate(mask.factors):
+            for k, g in enumerate(mask.factors):
+                assert (fld.rows[j] is fld.rows[k]) == (f is g)
         # one prefix table per factor object
         tables = prefix_sums(mask)
         assert len({id(P) for P in tables}) == len({id(f) for f in mask.factors})
@@ -571,10 +571,10 @@ class TestRepeatedFactors:
             (BitMask(first, mask.factors[:1]), [Shape(s.exponents[:1]) for s in shapes]),
         ]:
             fld = maximal_field(m, shs)
-            assert len(fld.terms) == len(shs)
+            assert len(fld.index) == len(shs)
             for term, shape in zip(fld.terms, shs):
                 own = maximal_field(m, [shape])
-                got = AverageField(fld.grid, (term,), fld.denom_exp).num
+                got = reduce(np.multiply.outer, term)
                 want = own.num.astype(got.dtype) << (fld.denom_exp - own.denom_exp)
                 assert np.array_equal(got, want)
 
@@ -762,7 +762,7 @@ class TestSuperlevel:
         D = 8 * np.dtype(dtype).itemsize - 1
         grid = GridSpec((0,), (2,))
         num = np.array([0, 1, (1 << D) - 1, 1 << D], dtype=dtype)
-        fld = AverageField(grid, ((num,),), D)
+        fld = AverageField(grid, (num[None],), np.zeros((1, 1), int), D)
         cases = [
             (DyadicRational(1, -D), [False, True, True, True]),
             (DyadicRational(1, 0), [False, False, False, True]),
@@ -821,13 +821,14 @@ class TestProductSuperlevel:
 @st.composite
 def class_fields(draw):
     """A field on a grid of one to three axes, at resolutions -2..2 and
-    at most 2^10 cells, and count thresholds in [0, 2^D + 1].  Every term
-    splits the axes into the same runs of consecutive axes: one run per
-    axis, one in all, or between.  The field has one to four terms,
-    either of bool factors over the denominator 2^0, or of unsigned
-    factors in min_scalar_type(2^D) whose values on factor j are at most
-    2^e_j, with D at least the sum of the e_j, so every product of a
-    term's factors is an average."""
+    at most 2^10 cells, and count thresholds in [0, 2^D + 1].  The axes
+    split into runs of consecutive axes, one factor per run: one run per
+    axis, one in all, or between.  Each factor has a stack of one to three
+    rows, a later factor may share the first one's stack object, and
+    the index table picks one to four terms.  Either every row is bool
+    over the denominator 2^0, or rows are in min_scalar_type(2^D) and
+    factor j's values are at most 2^e_j, with D at least the sum of the
+    e_j, so every product of a term's factors is an average."""
     n = draw(st.integers(1, 3))
     ks, spare = [], 10
     for _ in range(n):
@@ -838,22 +839,23 @@ def class_fields(draw):
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
     bounds = [0, *cuts, n]
     shapes = [grid.shape[a:b] for a, b in zip(bounds, bounds[1:])]
+    shared = [j > 0 and shapes[j] == shapes[0] and draw(st.booleans()) for j in range(len(shapes))]
     if draw(st.booleans()):
-        D, dtype, elements = 0, bool, [st.booleans()] * len(shapes)
+        D, dtype, exps = 0, bool, [None] * len(shapes)
     else:
         exps = [draw(st.integers(0, 4)) for _ in shapes]
+        exps = [exps[0] if s else e for e, s in zip(exps, shared)]
         D = sum(exps) + draw(st.integers(0, 2))
         dtype = np.min_scalar_type(1 << D)
-        elements = [st.integers(0, 1 << e) for e in exps]
-    terms = tuple(
-        tuple(
-            draw(hnp.arrays(dtype, shape, elements=el))
-            for shape, el in zip(shapes, elements)
-        )
-        for _ in range(draw(st.integers(1, 4)))
-    )
+    stacks = []
+    for shape, e, s in zip(shapes, exps, shared):
+        el = st.booleans() if e is None else st.integers(0, 1 << e)
+        k = draw(st.integers(1, 3))
+        stacks.append(stacks[0] if s else draw(hnp.arrays(dtype, (k, *shape), elements=el)))
+    T = draw(st.integers(1, 4))
+    index = np.array([[draw(st.integers(0, len(r) - 1)) for r in stacks] for _ in range(T)])
     counts = draw(st.lists(st.integers(0, (1 << D) + 1), min_size=1, max_size=3))
-    return AverageField(grid, terms, D), counts
+    return AverageField(grid, tuple(stacks), index, D), counts
 
 
 class TestValueClasses:
@@ -866,7 +868,7 @@ class TestValueClasses:
         fld, _ = case
         (rows, counts), (last, last_counts) = value_classes(fld)
         assert rows.dtype == last.dtype == np.min_scalar_type(1 << fld.denom_exp)
-        assert len(rows) == len(last) == len(fld.terms)
+        assert len(rows) == len(last) == len(fld.index)
         weights = np.multiply.outer(counts, last_counts)
         assert int(weights.sum()) == fld.grid.ncells
         pairs = (rows.astype(np.int64)[:, :, None] * last[:, None, :]).reshape(len(rows), -1)
@@ -892,13 +894,92 @@ class TestValueClasses:
         want = tuple(BitMask(fld.grid, (superlevel_mask(fld, t),)).measure() for t in ts)
         assert got == want and got[-1] == DyadicRational(0, 0)
 
-    def test_one_factor_layout(self):
-        grid = GridSpec((0, 0), (1, 1))
-        per_axis = ((np.ones(2, np.uint8),) * 2,)
-        one = ((np.ones((2, 2), np.uint8),),)
-        assert len(value_classes(AverageField(grid, per_axis * 2, 0))[0][0]) == 2
-        with pytest.raises(ParameterError, match="share one factor layout"):
-            value_classes(AverageField(grid, per_axis + one, 0))
+
+@st.composite
+def malformed_fields(draw):
+    """A valid field's arguments on a grid of one to three axes, at most
+    64 cells, with one factor per axis, a stack of one to three uint8 or
+    bool rows each, a table of one to three terms and D in 0..15; and the
+    same arguments with one fault: a negative row number, a row number
+    past its stack, a table of the wrong width, an empty table, a table
+    that is not of integers, row shapes that do not concatenate to the
+    grid's, or rows of a signed, float or too-wide dtype."""
+    ks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    grid = GridSpec((0,) * len(ks), tuple(ks))
+    D = draw(st.integers(0, 15))
+    dtype = draw(st.sampled_from([bool, np.uint8]))
+    rows = [draw(hnp.arrays(dtype, (draw(st.integers(1, 3)), 1 << k))) for k in ks]
+    T = draw(st.integers(1, 3))
+    index = np.array([[draw(st.integers(0, len(r) - 1)) for r in rows] for _ in range(T)])
+    good = (grid, tuple(rows), index, D)
+    t, j = draw(st.integers(0, T - 1)), draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(
+        ["negative", "past", "width", "empty", "table_dtype", "shape", "dtype"]
+    ))
+    index = index.copy()
+    if kind == "negative":
+        index[t, j] = draw(st.integers(-3, -1))
+    elif kind == "past":
+        index[t, j] = len(rows[j]) + draw(st.integers(0, 2))
+    elif kind == "width":
+        width = draw(st.integers(0, 4).filter(lambda w: w != len(rows)))
+        index = np.zeros((T, width), int)
+    elif kind == "empty":
+        index = index[:0]
+    elif kind == "table_dtype":
+        index = index.astype(draw(st.sampled_from([float, bool, object])))
+    elif kind == "shape":
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=5))
+        rows[j] = np.zeros((len(rows[j]), *shape), np.uint8)
+        assume(sum((r.shape[1:] for r in rows), ()) != grid.shape)
+    else:
+        wide = np.min_scalar_type(1 << D)
+        rows[j] = rows[j].astype(draw(st.one_of(
+            hnp.integer_dtypes(), hnp.floating_dtypes(),
+            hnp.unsigned_integer_dtypes().filter(lambda d: d.itemsize > wide.itemsize),
+        )))
+    return good, (grid, tuple(rows), index, D)
+
+
+class TestAverageFieldLayout:
+    """A field is built only as AverageField(grid, rows, index,
+    denom_exp): a stack of distinct rows per factor and a table naming
+    each term's row in each stack.  Anything else raises ParameterError,
+    and `maximal_field` shares one stack among the axes of one factor
+    object."""
+
+    @given(case=malformed_fields())
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_fields_raise(self, case):
+        good, bad = case
+        AverageField(*good)
+        with pytest.raises(ParameterError, match="field rows"):
+            AverageField(*bad)
+
+    def test_signed_rows_raise(self):
+        # a row of -1 and 1: the class count read -1 as 255 and counted
+        # the cell at 2^0, while the dense mask counted none
+        grid, one = GridSpec((0,), (1,)), np.zeros((1, 1), int)
+        with pytest.raises(ParameterError, match="bool or unsigned"):
+            AverageField(grid, (np.array([[-1, 1]]),), one, 1)
+        fld = AverageField(grid, (np.array([[0, 1]], np.uint8),), one, 1)
+        for t in (DyadicRational.pow2(0), DyadicRational.pow2(-1)):
+            want = BitMask(grid, (superlevel_mask(fld, t),)).measure()
+            assert superlevel_measure(fld, t) == (want,)
+
+    def test_family_field_layout(self):
+        # n = 4, m = 5: the three X axes of E are one factor object, so
+        # their m distinct fields are the rows of one shared stack
+        n, m = 4, 5
+        inst = build_instance(n, range(m))
+        used = [s for s in generate_shapes(n, range(m)) if inst.grid.compatible_shape(s)]
+        fld = maximal_field(rasterize(inst.E, inst.grid), used)
+        X, Z = fld.rows[0], fld.rows[-1]
+        assert fld.index.shape == (len(used), n)
+        assert len({tuple(t) for t in fld.index.tolist()}) == len(used)
+        assert all(r is X for r in fld.rows[:-1]) and Z is not X and len(X) == m
+        assert len(Z) == len({s.exponents[-1] for s in used})
+        assert not X.flags.writeable and not Z.flags.writeable
 
 
 def assert_matches_naive_oracle(shapes):

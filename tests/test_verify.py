@@ -236,7 +236,7 @@ class TestHomogeneity:
 
         def dense(mask, shapes):
             fld = maximal_field(mask, shapes)
-            return AverageField(fld.grid, ((fld.num,),), fld.denom_exp)
+            return AverageField(fld.grid, (fld.num[None],), np.zeros((1, 1), int), fld.denom_exp)
 
         monkeypatch.setattr(dyadicmax.verify, "maximal_field", dense)
         with pytest.raises(ParameterError, match="one 1D factor per grid axis"):
@@ -305,11 +305,11 @@ class TestHomogeneityOnProductMasks:
 
         def lines_lowered(mask, shapes):
             fld = maximal_field(mask, shapes)
-            (term,) = fld.terms
-            term = [f.copy() for f in term]
+            (term,) = fld.index
+            rows = [r.copy() for r in fld.rows]  # the kernel's stacks are read-only
             for ax, x in lines:
-                term[ax][x] = 0
-            return AverageField(fld.grid, (tuple(term),), fld.denom_exp)
+                rows[ax][term[ax], x] = 0
+            return AverageField(fld.grid, tuple(rows), fld.index, fld.denom_exp)
 
         monkeypatch.setattr(dyadicmax.verify, "maximal_field", lines_lowered)
         mask_E = rasterize(inst.E, inst.grid)
@@ -537,10 +537,11 @@ class TestClassPathAgainstTheDensePipeline:
             fld = real_field(mask, shapes)
             if len(shapes) == 1:  # a homogeneity field
                 return fld
-            *rest, (first, other) = fld.terms
-            first = first.copy()
-            first[last[0]] = 0
-            return AverageField(fld.grid, (*rest, (first, other)), fld.denom_exp)
+            # the last generator's row on the first axis is its own
+            first, row = fld.rows[0].copy(), fld.index[-1, 0]
+            assert list(fld.index[:, 0]).count(row) == 1
+            first[row, last[0]] = 0
+            return AverageField(fld.grid, (first, *fld.rows[1:]), fld.index, fld.denom_exp)
 
         if cut == "first_shape":
             monkeypatch.setattr(
@@ -581,12 +582,12 @@ class TestClassPathAgainstTheDensePipeline:
             fld = real(mask, shapes)
             if len(shapes) == 1:  # a homogeneity field
                 return fld
-            k = shapes.index(inst.R[(1,)])
-            first, *rest = fld.terms[k]
-            first = first.copy()  # the kernel's factor fields are read-only
-            first[0] = 0
-            terms = (*fld.terms[:k], (first, *rest), *fld.terms[k + 1:])
-            return AverageField(fld.grid, terms, fld.denom_exp)
+            # R((1,))'s row on the first axis is its own
+            row = fld.index[shapes.index(inst.R[(1,)]), 0]
+            assert list(fld.index[:, 0]).count(row) == 1
+            first = fld.rows[0].copy()  # the kernel's stacks are read-only
+            first[row, 0] = 0
+            return AverageField(fld.grid, (first, *fld.rows[1:]), fld.index, fld.denom_exp)
 
         monkeypatch.setattr(dyadicmax.verify, "maximal_field", cut)
         rep = verify_theorem(n, A, m)
@@ -650,7 +651,7 @@ def test_class_counts_past_int64():
     grid = GridSpec((0,) * 32, (2,) * 32, budget=1 << 70)
     axis = np.array([0, 1, 1, 1], np.uint8)
     (rows, counts), (last, last_counts) = value_classes(
-        AverageField(grid, ((axis,) * 32,), 0)
+        AverageField(grid, (axis[None],) * 32, np.zeros((1, 32), int), 0)
     )
     assert counts.dtype == object and all(type(c) is int for c in counts)
     assert dict(zip(rows[0].tolist(), counts)) == {0: 4**31 - 3**31, 1: 3**31}
@@ -683,6 +684,26 @@ class TestPastTheDenseFrontier:
             tracemalloc.stop()
         assert rep.passed and rep.ratio == ratio
         assert peak < 8 << 20
+
+
+class TestSharedRowsPastTheDenseFrontier:
+    """Runs at n >= 4 where the family field's terms share their rows
+    and the n - 1 X axes of E share one stack; the ratios are those the
+    class count recorded when each term held its own factor tuple."""
+
+    @pytest.mark.parametrize(
+        "n, m, ratio, ratio_alt",
+        [
+            (4, 8, Fraction(2238105934865, 35184372088832),
+             Fraction(5294701362513, 35184372088832)),
+            (5, 6, Fraction(66942694799, 2783138807808), Fraction(57021797983, 927712935936)),
+            (6, 6, Fraction(20530190911, 2783138807808), Fraction(18947714927, 927712935936)),
+        ],
+        ids=["n4m8d2", "n5m6d2", "n6m6d2"],
+    )
+    def test_ratios(self, n, m, ratio, ratio_alt):
+        rep = verify_theorem(n, range(0, 2 * m, 2), m, budget=1 << 200)
+        assert rep.passed and (rep.ratio, rep.ratio_alt) == (ratio, ratio_alt)
 
 
 class TestCubeCounterexample:
