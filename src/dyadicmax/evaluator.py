@@ -26,9 +26,11 @@ A field (`AverageField`) is held the same way, as the maximum over
 terms of the outer product of each term's factors, in one layout: per
 factor, a stack of its distinct arrays, and a table naming each term's
 row in each stack.  Within one `maximal_field` call each factor field
-is built once per factor object, window, reach and shift, as a row of
-that factor object's one read-only stack, zero outside the reach; a
-mask's axes that share a factor object share its stack.  Every mask
+is built once per factor object, window, reach and shift by one
+routine (`_factor_field`: one slice difference of the factor's prefix
+table per axis, then the doubling passes), as a row of that factor
+object's one read-only stack, zero outside the reach; a mask's axes
+that share a factor object share its stack.  Every mask
 gets one term per shape, so with 1D factors the kernel builds no
 grid-sized array.  An empty mask takes the general path, with the one
 cell at the origin as its support box.  A field's `num` and a mask's
@@ -38,9 +40,10 @@ fields compare by identity.
 A field's superlevel measures (`superlevel_measure`) are counted over
 its value classes (`value_classes`): on each factor axis, the cells
 that every row of the axis's stack holds alike, with the axes but the
-last folded into one, so a maximum of outer products is one value per
-pair of classes.  `dyadicmax.verify` measures the cube's field and the
-family field this way, one field at a time.
+last folded into one, merging equal columns at every step, so a
+maximum of outer products is one value per pair of classes and the
+folded classes are distinct.  `dyadicmax.verify` measures the cube's
+field and the family field this way, one field at a time.
 
 Only cell-aligned translates are enumerated and cells outside the
 bounding box count as zero, so every superlevel measure reported here
@@ -171,8 +174,8 @@ class AverageField:
     stack rows[j], k_j x the factor's shape, and the factor shapes
     concatenate to grid.shape; term t takes row index[t, j] of each
     stack, so a factor array that several terms share is held once.
-    Rows are bool or unsigned and no wider than
-    min_scalar_type(2^denom_exp), and index is a nonempty
+    denom_exp is an integer >= 0, rows are bool or unsigned and no
+    wider than min_scalar_type(2^denom_exp), and index is a nonempty
     T x len(rows) integer table of row numbers, or `ParameterError` is
     raised.  `maximal_field` gives one term per shape, its factors laid
     out like the mask's, and one read-only stack per factor object."""
@@ -183,7 +186,13 @@ class AverageField:
     denom_exp: int
 
     def __post_init__(self):
-        wide = np.min_scalar_type(1 << self.denom_exp).itemsize
+        try:
+            D = index(self.denom_exp)
+        except TypeError:
+            D = -1
+        # every bool or unsigned dtype is at least a byte wide, so a
+        # denom_exp below 0 is refused with every row, before any shift
+        wide = np.min_scalar_type(1 << D).itemsize if D >= 0 else 0
         if not (
             isinstance(self.rows, tuple) and self.rows and all(
                 isinstance(r, np.ndarray) and r.ndim > 1 and r.dtype.kind in "bu"
@@ -195,9 +204,11 @@ class AverageField:
             and all(0 <= k < len(r) for t in self.index.tolist() for r, k in zip(self.rows, t))
         ):
             raise ParameterError(
-                "field rows must be bool or unsigned stacks no wider than 2^denom_exp whose rows' "
-                f"shapes concatenate to {self.grid.shape}, and index a table of their row numbers"
+                "field rows must be bool or unsigned stacks no wider than 2^denom_exp, an integer "
+                f">= 0, whose rows' shapes concatenate to {self.grid.shape}, and index a table "
+                "of their row numbers"
             )
+        object.__setattr__(self, "denom_exp", D)
 
     @property
     def terms(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -258,19 +269,6 @@ def _cumulative(values: np.ndarray, dtype) -> np.ndarray:
     return P
 
 
-def _placement_counts(P: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
-    """Counts of the window placed at every in-box anchor
-    p_j in [0, N_j - w_j] of the grid whose prefix table is P: one slice
-    difference P[w:] - P[:N-w+1] per axis."""
-    S = P
-    for ax, w in enumerate(window):
-        hi = [slice(None)] * S.ndim
-        lo = hi.copy()
-        hi[ax], lo[ax] = slice(w, None), slice(None, -w)
-        S = S[tuple(hi)] - S[tuple(lo)]
-    return S
-
-
 def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
     if not grid.compatible_shape(shape):
         raise ParameterError(
@@ -299,10 +297,16 @@ def _support_box(mask: BitMask) -> list[tuple[int, int]]:
     return [b for fb in per_factor for b in fb]
 
 
-def _window_maxima(S: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
-    """Per cell of the reach, the maximum of the anchor counts S whose
-    windows hold it: log2(w) doubling passes per axis (`maximal_field`
-    says why they are exact)."""
+def _factor_field(P: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
+    """Per cell of the reach, the maximum count of the window over the
+    anchors whose windows hold it, from the prefix table P cropped to
+    the counts those anchors need: one slice difference P[w:] - P[:-w]
+    per axis gives the anchor counts, then log2(w) doubling passes per
+    axis their maxima (`maximal_field` says why both are exact)."""
+    S = P
+    for ax, w in enumerate(window):
+        lead = (slice(None),) * ax
+        S = S[lead + (slice(w, None),)] - S[lead + (slice(None, -w),)]
     for ax, w in enumerate(window):
         lead = (slice(None),) * ax
         k = 1
@@ -348,8 +352,9 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     field, in order: its row of the index table names its factors'
     fields, each zero outside the reach.  A factor field depends only on
     the factor, its window, its reach and, for the first factor, the
-    shift below, so it is built once per key in a call, as one row of
-    the factor object's stack.  Each stack is zero-filled once and is
+    shift below, so it is built once per key in a call, by
+    `_factor_field` from the factor's prefix table, as one row of the
+    factor object's stack.  Each stack is zero-filled once and is
     read-only: the n - 1 identical X axes of E share one, and a side
     that several shapes share is one row of it.
 
@@ -412,7 +417,7 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     def stack(f):  # a factor object's fields, each zero outside its reach
         rows = np.zeros((len(fields[id(f)]), *f.shape), dt)
         for (w, _, shift), (k, P, reach) in fields[id(f)].items():
-            rows[k][reach] = _window_maxima(_placement_counts(P, w), w)
+            rows[k][reach] = _factor_field(P, w)
             if shift:
                 rows[k] <<= shift  # zeros stay zero
         rows.flags.writeable = False  # terms share its rows
@@ -453,12 +458,14 @@ def value_classes(field: AverageField):
     holds the same value form a class (one `np.lexsort` per distinct
     stack), so every term holds them alike; the index table expands the
     class rows to one row per term.  The axes but the last fold into one:
-    each step multiplies the rows out over pairs of classes, merges equal
-    columns and sums their cell counts, int64 below 2^63 cells and Python
-    ints above.  rows holds a row per term in
-    min_scalar_type(2^denom_exp), so the field's value on the class pair
-    (a, b) is the maximum over its terms of rows[t, a] * last_rows[t, b],
-    on counts[a] * last_counts[b] cells.  Products wrap modulo 2^bits,
+    every step, the first included, multiplies the rows out over pairs
+    of classes, merges equal columns and sums their cell counts, int64
+    below 2^63 cells and Python ints above, so the folded classes are
+    distinct even where the index table leaves stack rows unused (the
+    last axis's classes are its stack's, which such rows may split).
+    rows holds a row per term in min_scalar_type(2^denom_exp), so the
+    field's value on the class pair (a, b) is the maximum over its terms
+    of rows[t, a] * last_rows[t, b], on counts[a] * last_counts[b] cells.  Products wrap modulo 2^bits,
     which leaves exact every full product, at most 2^denom_exp."""
     dt = np.min_scalar_type(1 << field.denom_exp)
     classes = _per_object(field.rows, lambda r: _distinct_columns(r.reshape(len(r), -1)))
@@ -466,13 +473,11 @@ def value_classes(field: AverageField):
     cells = np.int64 if field.grid.cells_exponent < 63 else object
     rows, counts = np.ones((len(field.index), 1), dt), np.ones(1, cells)
     for step, size in axes[:-1]:
-        if counts.size == 1:  # one class: merging would only compress
-            rows, counts = rows * step, counts * size.astype(cells)
-        else:  # the product goes straight in, so only its sorted copy outlives the sort
-            rows, counts = _distinct_columns(
-                (rows[:, :, None] * step[:, None, :]).reshape(len(rows), -1),
-                np.multiply.outer(counts, size.astype(cells)).ravel(),
-            )
+        # the product goes straight in, so only its sorted copy outlives the sort
+        rows, counts = _distinct_columns(
+            (rows[:, :, None] * step[:, None, :]).reshape(len(rows), -1),
+            np.multiply.outer(counts, size.astype(cells)).ravel(),
+        )
     return (rows, counts), axes[-1]
 
 

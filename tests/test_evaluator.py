@@ -858,8 +858,29 @@ def class_fields(draw):
     return AverageField(grid, tuple(stacks), index, D), counts
 
 
+# row 1 of the first stack is a row that no term uses; the first axis's
+# four cells hold the term's values 1, 1, 2, 2, so they fold into two
+# classes of two cells each, and the field (products 1, 2, 2, 4 over 2^2)
+# is at least 2^-1 on 3 * 2^1 cells
+UNUSED_ROW_FIELD = AverageField(
+    GridSpec((0, 0), (2, 1)),
+    (np.array([[1, 1, 2, 2], [0, 1, 0, 1]], np.uint8), np.array([[1, 2]], np.uint8)),
+    np.array([[0, 0]]),
+    2,
+)
+
+
+def class_count(m, d):
+    """C_d(m): the number of classes observed on each axis of the n = 2
+    family field at step d."""
+    if d == 1:
+        return m
+    return ((1 << (d - 1) * (m - 1)) + (1 << d - 1) - 2) // ((1 << d - 1) - 1)
+
+
 class TestValueClasses:
     @given(case=class_fields())
+    @example(case=(UNUSED_ROW_FIELD, [2]))
     @settings(max_examples=150, deadline=None)
     def test_against_dense_enumeration(self, case):
         # per cell, the vector of every term's product: the distinct
@@ -869,6 +890,9 @@ class TestValueClasses:
         (rows, counts), (last, last_counts) = value_classes(fld)
         assert rows.dtype == last.dtype == np.min_scalar_type(1 << fld.denom_exp)
         assert len(rows) == len(last) == len(fld.index)
+        # every fold step merges equal columns, so the folded classes are
+        # distinct, whatever stack rows the index table leaves unused
+        assert np.unique(rows, axis=1).shape == rows.shape
         weights = np.multiply.outer(counts, last_counts)
         assert int(weights.sum()) == fld.grid.ncells
         pairs = (rows.astype(np.int64)[:, :, None] * last[:, None, :]).reshape(len(rows), -1)
@@ -883,6 +907,7 @@ class TestValueClasses:
         assert np.array_equal(got, want) and np.array_equal(got_counts, want_counts)
 
     @given(case=class_fields())
+    @example(case=(UNUSED_ROW_FIELD, [2]))
     @settings(max_examples=150, deadline=None)
     def test_superlevel_measure_against_the_dense_mask(self, case):
         # drawn thresholds, 2^0 and one above every value, in one call
@@ -894,6 +919,19 @@ class TestValueClasses:
         want = tuple(BitMask(fld.grid, (superlevel_mask(fld, t),)).measure() for t in ts)
         assert got == want and got[-1] == DyadicRational(0, 0)
 
+    @pytest.mark.parametrize(
+        "m, d", [(3, 2), (5, 2), (8, 2), (10, 2), (4, 3), (6, 3), (5, 4), (6, 1), (12, 1)]
+    )
+    def test_observed_class_count_law(self, m, d):
+        # an observation, not a proven law: on the n = 2 family field of
+        # A = u = range(0, m d, d), each axis holds C_d(m) value classes
+        n, u = 2, range(0, m * d, d)
+        inst = build_instance(n, u, budget=1 << 200)
+        used = [s for s in generate_shapes(n, u) if inst.grid.compatible_shape(s)]
+        fld = maximal_field(rasterize(inst.E, inst.grid), used)
+        (_, counts), (_, last_counts) = value_classes(fld)
+        assert counts.size == last_counts.size == class_count(m, d)
+
 
 @st.composite
 def malformed_fields(draw):
@@ -903,7 +941,8 @@ def malformed_fields(draw):
     same arguments with one fault: a negative row number, a row number
     past its stack, a table of the wrong width, an empty table, a table
     that is not of integers, row shapes that do not concatenate to the
-    grid's, or rows of a signed, float or too-wide dtype."""
+    grid's, rows of a signed, float or too-wide dtype, or a denom_exp
+    that is negative or not an integer."""
     ks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
     grid = GridSpec((0,) * len(ks), tuple(ks))
     D = draw(st.integers(0, 15))
@@ -914,10 +953,12 @@ def malformed_fields(draw):
     good = (grid, tuple(rows), index, D)
     t, j = draw(st.integers(0, T - 1)), draw(st.integers(0, len(rows) - 1))
     kind = draw(st.sampled_from(
-        ["negative", "past", "width", "empty", "table_dtype", "shape", "dtype"]
+        ["negative", "past", "width", "empty", "table_dtype", "shape", "dtype", "denom_exp"]
     ))
     index = index.copy()
-    if kind == "negative":
+    if kind == "denom_exp":
+        D = draw(st.one_of(st.integers(-64, -1), st.floats(0, 15), st.none()))
+    elif kind == "negative":
         index[t, j] = draw(st.integers(-3, -1))
     elif kind == "past":
         index[t, j] = len(rows[j]) + draw(st.integers(0, 2))

@@ -794,6 +794,49 @@ class TestCubeCounterexample:
         assert cube_counterexample(1, 1).runtime_ms >= 50
 
 
+@st.composite
+def huge_inputs(draw):
+    """A theorem or cube call whose n, m and step are each small or, in
+    calls not drawn all small, possibly huge: n in 1..4 or 10^5..10^6,
+    m in 1..6 or 100..200, A a progression of step 1..2 or 2^40..2^61
+    from a scale in +-2^80, mostly of m terms and else of m - 1, plus,
+    at a step of at most 2, up to three scales inside its span; and a
+    budget of 1, 2^30 - 1, 2^30 or 2^64.  Any progression A holds has a
+    step of at most the drawn one, so a call the budget admits has small
+    n, m and step, and builds axes of at most 2^10 cells."""
+    small = draw(st.booleans())
+    n = draw(st.integers(1, 4) if small else st.integers(1, 4) | st.integers(10**5, 10**6))
+    m = draw(st.integers(1, 6) if small else st.integers(1, 6) | st.integers(100, 200))
+    d = draw(st.integers(1, 2) if small else st.integers(1, 2) | st.integers(1 << 40, 1 << 61))
+    u0 = draw(st.integers(-(1 << 80), 1 << 80))
+    terms = m - 1 if draw(st.integers(0, 3)) == 0 else m
+    A = {u0 + i * d for i in range(terms)}
+    if d <= 2 and terms:
+        A |= draw(st.sets(st.integers(u0, u0 + (terms - 1) * d), max_size=3))
+    budget = draw(st.sampled_from([1, (1 << 30) - 1, 1 << 30, 1 << 64]))
+    if draw(st.booleans()):
+        return verify_theorem, (n, A, m, budget)
+    return cube_counterexample, (n, m, budget)
+
+
+@given(case=huge_inputs())
+@settings(max_examples=300, deadline=None)
+def test_huge_inputs_pass_or_are_refused_small(case):
+    # every call returns a passing report or raises one of the
+    # documented errors; a refused call allocates next to nothing
+    run, args = case
+    tracemalloc.start()
+    try:
+        rep = run(*args)
+    except (ParameterError, NoProgressionError, BudgetExceededError):
+        peak = tracemalloc.get_traced_memory()[1]
+        assert peak < 1 << 20
+    else:
+        assert rep.passed
+    finally:
+        tracemalloc.stop()
+
+
 INTEGER_DTYPES = (
     np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
 )
