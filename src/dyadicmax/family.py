@@ -4,12 +4,16 @@ For a set A of integer scales the family is generated by the unit-volume
 shapes (a_1, ..., a_(n-1), -(a_1 + ... + a_(n-1))) with every a_j in A,
 normalized along the last axis.  The family is invariant under
 translation only.
+
+A run measures only the generators that fit its grid, and those are the
+tuples of offsets a_j - u_0 >= 0 with a bounded sum, as are the run's
+indices; `bounded_tuples` walks such tuples directly, so neither
+A^(n-1) nor [0, m)^(n-1) is ever enumerated.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import product
 
 import numpy as np
 
@@ -17,12 +21,19 @@ from .crystal import Shape
 from .errors import ParameterError
 
 
-def generate_shapes(n: int, A) -> list[Shape]:
-    """The generators of B_(A^(n-1)), sorted by exponents: the product
-    order is lexicographic, and the last exponent is fixed by the others."""
-    return [
-        Shape(a + (-sum(a),)) for a in product(sorted(set(A)), repeat=n - 1)
-    ]
+def bounded_tuples(values, k: int, bound: int) -> list[tuple[int, ...]]:
+    """The k-tuples over a sorted sequence of values >= 0 whose sum is at
+    most bound, in lexicographic order.
+
+    The walk extends each kept prefix by the values that keep its sum
+    within bound (a prefix of the sorted values), one position at a
+    time, without recursion.  When 0 is among the values every prefix is
+    a kept tuple padded with zeros, so no intermediate list is longer
+    than the result."""
+    walk = [()]
+    for _ in range(k):
+        walk = [t + (v,) for t in walk for v in values[: bisect_right(values, bound - sum(t))]]
+    return walk
 
 
 def is_member(shape: Shape, n: int, A) -> bool:

@@ -36,6 +36,11 @@ such boxes, and reads only the union of the second.  A passing
 `verify_theorem` builds no array of the grid's size; the cell budget
 still counts the grid's cells.
 
+The indices i and the family's generators that fit the grid are both
+walked, not filtered from a product (`bounded_tuples`): the indices
+are the tuples in [0, m)^(n-1) with sum at most m-1, and the
+generators those of offsets a_k - u_0 >= 0 with sum at most (m-1)d.
+
 A `VerificationReport` stores what a run measured and the outcome of
 each check; it derives the sharpness ratio and the verdict from them.
 
@@ -58,7 +63,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iproduct
 from operator import index
 
 import numpy as np
@@ -86,7 +90,7 @@ from .evaluator import (
     rasterize,
     superlevel_measure,
 )
-from .family import find_progression, generate_shapes, is_member
+from .family import bounded_tuples, find_progression, is_member
 
 CSV_COLUMNS = (
     "n", "m", "measure_E_mantissa", "measure_E_exp", "superlevel_mantissa",
@@ -148,9 +152,7 @@ def build_instance(
     grid = GridSpec(
         (u0,) * (n - 1) + (-h[-1],), (u[-1],) * (n - 1) + (-h[0],), budget
     )
-    indices = tuple(
-        i for i in iproduct(range(m), repeat=n - 1) if sum(i) <= m - 1
-    )
+    indices = tuple(bounded_tuples(range(m), n - 1, m - 1))
     measure_E = crystal_measure(E)
     Y, R = {}, {}
     for i in indices:
@@ -401,11 +403,13 @@ def verify_theorem(
     hom_ok = all(r.passed for r in hom)
     disj = check_disjointness(inst)
 
-    # the first n-1 axes share one scale range, so only the scales of A
-    # inside it give shapes that can fit the grid
-    lo, hi = inst.grid.resolution[0], inst.grid.extent[0]
-    fitting = {a for a in A if lo <= a <= hi}
-    used = [s for s in generate_shapes(n, fitting) if inst.grid.compatible_shape(s)]
+    # a generator fits the grid iff every a_k >= u_0 and the offsets
+    # a_k - u_0 sum to at most (m-1)d: that bound gives a_k <= u_(m-1)
+    # and -sum(a) >= -h_(m-1), and -sum(a) <= -h_0 always holds; the
+    # walk's order over sorted offsets is the sorted product order
+    offsets = [a - u[0] for a in A if a >= u[0]]
+    fitting = bounded_tuples(offsets, n - 1, (m - 1) * u.step)
+    used = [Shape(a + (-sum(a),)) for a in (tuple(u[0] + o for o in t) for t in fitting)]
     skipped = len(A) ** (n - 1) - len(used)
     fld = maximal_field(mask_E, used)
     thr = DyadicRational.pow2(-(m - 1))

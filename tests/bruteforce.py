@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 
+from dyadicmax.crystal import Shape
+
 
 def naive_box_sum(mask: np.ndarray, lo, hi) -> int:
     """Count set cells in [lo, hi) by looping, clipping to the array."""
@@ -97,3 +99,17 @@ def contained_anchored_rectangles(mask: np.ndarray, res, extent):
         if mask[sl].all():
             out.append(b)
     return out
+
+
+def naive_generators(n: int, A, grid) -> list[Shape]:
+    """The generators of B_(A^(n-1)) that fit the grid, in sorted product
+    order: every shape (a_1, ..., a_(n-1), -sum(a)) over the product of
+    sorted A, filtered by `grid.compatible_shape`."""
+    shapes = (Shape(a + (-sum(a),)) for a in product(sorted(set(A)), repeat=n - 1))
+    return [s for s in shapes if grid.compatible_shape(s)]
+
+
+def naive_indices(n: int, m: int) -> list[tuple[int, ...]]:
+    """The indices i of a run: the product [0, m)^(n-1) in order,
+    filtered by sum(i) <= m - 1."""
+    return [i for i in product(range(m), repeat=n - 1) if sum(i) <= m - 1]

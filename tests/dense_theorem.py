@@ -7,7 +7,9 @@ masks and the mask of the union of the Y(i).  It is the middle link of
 the oracle chain: `bruteforce.py` checks the evaluator, this checks the
 per-axis class path of `dyadicmax.verify`.  Every field comes from a
 mask of one dense factor, so each of its terms is one grid-sized array,
-and the oracle reads only the fields' `num`.
+and the oracle reads only the fields' `num`.  The family's generators
+are the naive product filter of `bruteforce.py`, not the bounded walk
+that `verify_theorem` takes them from.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bruteforce import naive_generators
 from dyadicmax.dyadic import DyadicRational
 from dyadicmax.errors import ConstructionError
 from dyadicmax.evaluator import BitMask, maximal_field, rasterize, superlevel_mask
-from dyadicmax.family import find_progression, generate_shapes
+from dyadicmax.family import find_progression
 from dyadicmax.verify import HomogeneityResult, TheoremInstance, build_instance
 
 
@@ -70,9 +73,7 @@ def dense_theorem(n: int, A, m: int) -> DenseTheorem:
     inst = build_instance(n, find_progression(A, m))
     grid = inst.grid
     E = dense_mask(inst.E, grid)
-    lo, hi = grid.resolution[0], grid.extent[0]
-    fitting = {a for a in A if lo <= a <= hi}
-    used = [s for s in generate_shapes(n, fitting) if grid.compatible_shape(s)]
+    used = naive_generators(n, A, grid)
     fld = maximal_field(E, used)
     lvl, lvl_alt = (
         superlevel_mask(fld, DyadicRational.pow2(-e)) for e in (m - 1, m)

@@ -17,7 +17,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from bruteforce import contained_anchored_rectangles, naive_average, naive_box_sum
+from bruteforce import (
+    contained_anchored_rectangles,
+    naive_average,
+    naive_box_sum,
+    naive_generators,
+)
 from dyadicmax.cli import main as cli_main
 from dyadicmax.crystal import (
     Crystal1D,
@@ -224,12 +229,12 @@ def test_criterion_7_cube_counterexample():
 def test_criterion_8_membership_consistency():
     with criterion(8, "family membership of every primitive rectangle"):
         for n, A, ms in SWEEPS.values():
-            from dyadicmax.family import find_progression, generate_shapes
+            from dyadicmax.family import find_progression
 
-            for s in generate_shapes(n, A):
-                assert s.volume_exponent == 0
             for m in ms:
                 inst = build_instance(n, find_progression(A, m))
+                for s in naive_generators(n, A, inst.grid):
+                    assert s.volume_exponent == 0
                 for i in inst.indices:
                     assert is_member(inst.R[i], n, A)
                     assert inst.R[i].volume_exponent == 0

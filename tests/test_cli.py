@@ -408,9 +408,15 @@ def failing_check(request, monkeypatch):
     else:
         # a family of its first generator alone: the homogeneity fields,
         # of R(i) each, are untouched, but the other Y(i) lose the term of
-        # their R(i), and the superlevel set stays nonempty
-        real = mod.generate_shapes
-        monkeypatch.setattr(mod, "generate_shapes", lambda n, A: real(n, A)[:1])
+        # their R(i), and the superlevel set stays nonempty; the index
+        # walk, over range(m), stays whole
+        real = mod.bounded_tuples
+        monkeypatch.setattr(
+            mod, "bounded_tuples",
+            lambda values, k, bound: real(values, k, bound)[
+                : None if isinstance(values, range) else 1
+            ],
+        )
     return request.param
 
 

@@ -10,7 +10,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bruteforce import naive_anchored_union, naive_box_sum, naive_maximal
+from bruteforce import (
+    naive_anchored_union,
+    naive_box_sum,
+    naive_generators,
+    naive_maximal,
+)
 from dyadicmax.crystal import (
     Crystal1D,
     ScaleSet,
@@ -33,7 +38,6 @@ from dyadicmax.evaluator import (
     superlevel_measure,
     value_classes,
 )
-from dyadicmax.family import generate_shapes
 from dyadicmax.verify import build_instance
 
 rng = np.random.default_rng(20260824)
@@ -927,7 +931,7 @@ class TestValueClasses:
         # A = u = range(0, m d, d), each axis holds C_d(m) value classes
         n, u = 2, range(0, m * d, d)
         inst = build_instance(n, u, budget=1 << 200)
-        used = [s for s in generate_shapes(n, u) if inst.grid.compatible_shape(s)]
+        used = naive_generators(n, u, inst.grid)
         fld = maximal_field(rasterize(inst.E, inst.grid), used)
         (_, counts), (_, last_counts) = value_classes(fld)
         assert counts.size == last_counts.size == class_count(m, d)
@@ -1013,7 +1017,7 @@ class TestAverageFieldLayout:
         # their m distinct fields are the rows of one shared stack
         n, m = 4, 5
         inst = build_instance(n, range(m))
-        used = [s for s in generate_shapes(n, range(m)) if inst.grid.compatible_shape(s)]
+        used = naive_generators(n, range(m), inst.grid)
         fld = maximal_field(rasterize(inst.E, inst.grid), used)
         X, Z = fld.rows[0], fld.rows[-1]
         assert fld.index.shape == (len(used), n)

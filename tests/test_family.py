@@ -2,29 +2,43 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bruteforce import naive_generators, naive_indices
 from dyadicmax.crystal import Shape
 from dyadicmax.errors import ParameterError
-from dyadicmax.family import find_progression, generate_shapes, is_member
+from dyadicmax.family import bounded_tuples, find_progression, is_member
+from dyadicmax.verify import build_instance
 
 
-class TestGenerateShapes:
-    def test_n3_example(self):
-        shapes = generate_shapes(3, {0, 1, 2})
-        assert len(shapes) == 9
-        assert Shape((1, 1, -2)) in shapes
-        assert Shape((0, 2, -2)) in shapes
+@st.composite
+def progression_supersets(draw):
+    """n, m, a progression u of step d and a set A holding u and up to
+    four more scales, below u_0, above u_(m-1) or off the step."""
+    n, m, d = draw(st.integers(2, 5)), draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    u0 = draw(st.integers(-5, 5))
+    u = range(u0, u0 + m * d, d)
+    extra = draw(st.sets(st.integers(u0 - 3 * d, u[-1] + 3 * d), max_size=4))
+    return n, m, u, set(u) | extra
 
-    def test_n2_example(self):
-        shapes = generate_shapes(2, {0, 1})
-        assert shapes == [Shape((0, 0)), Shape((1, -1))]
 
-    @given(st.integers(2, 4), st.sets(st.integers(-5, 5), min_size=1, max_size=4))
-    def test_zero_sum_and_cardinality(self, n, A):
-        shapes = generate_shapes(n, A)
-        assert all(s.volume_exponent == 0 for s in shapes)
-        assert all(is_member(s, n, A) for s in shapes)
-        assert len(set(shapes)) == len(shapes) == len(A) ** (n - 1)
-        assert shapes == sorted(shapes, key=lambda s: s.exponents)
+class TestBoundedTuples:
+    def test_example(self):
+        assert bounded_tuples(range(3), 2, 2) == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)
+        ]
+
+    @given(progression_supersets())
+    @example((5, 6, range(-3, 15, 3), {-9, -3, -1, 0, 3, 6, 9, 12, 17, 23}))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_naive_product_filters(self, case):
+        # the walk's two callers: the indices of a run over range(m), and
+        # its fitting generators over the offsets a - u_0 of A ∩ [u_0, ∞)
+        n, m, u, A = case
+        assert bounded_tuples(range(m), n - 1, m - 1) == naive_indices(n, m)
+        grid = build_instance(n, u, budget=1 << 200).grid
+        offsets = [a - u[0] for a in sorted(A) if a >= u[0]]
+        walk = bounded_tuples(offsets, n - 1, (m - 1) * u.step)
+        shapes = [Shape(tuple(u[0] + o for o in t) + (-(n - 1) * u[0] - sum(t),)) for t in walk]
+        assert shapes == naive_generators(n, A, grid)
 
 
 class TestIsMember:

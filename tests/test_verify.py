@@ -46,7 +46,8 @@ from dyadicmax.verify import (
     fraction_decimal,
     verify_theorem,
 )
-from dyadicmax.family import find_progression, generate_shapes
+from bruteforce import naive_generators, naive_indices
+from dyadicmax.family import find_progression
 from dense_theorem import dense_theorem, homogeneity, union_Y_mask
 from test_evaluator import small_instances
 
@@ -73,6 +74,14 @@ class TestBuildInstance:
             for m in (2, 3, 4):
                 inst = build_instance(n, range(m))
                 assert len(inst.indices) == math.comb(m - 1 + n - 1, n - 1)
+                assert list(inst.indices) == naive_indices(n, m)
+
+    def test_indices_are_walked_not_filtered(self):
+        # 24 indices of the 2^23 tuples in [0, 2)^23: the zero tuple,
+        # then the unit tuples in lexicographic order
+        inst = build_instance(24, range(2))
+        units = [tuple(int(k == j) for k in range(23)) for j in reversed(range(23))]
+        assert inst.indices == ((0,) * 23, *units)
 
     def test_measure_identity(self):
         inst = build_instance(2, range(0, 6, 2))
@@ -464,6 +473,17 @@ class TestVerifyTheorem:
         assert 0 < rep.shapes_used < 10
         assert rep.shapes_skipped == 1000**3 - rep.shapes_used
 
+    def test_family_walk_is_bounded_by_its_output(self):
+        # 16 of the 2^15 generators fit the grid; only they are built
+        tracemalloc.start()
+        try:
+            rep = verify_theorem(16, {0, 1}, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.shapes_used == 16
+        assert peak < 4 << 20
+
     def test_json_and_csv(self):
         rep = verify_theorem(2, {0, 1, 2}, 3)
         d = json.loads(rep.to_json())
@@ -530,7 +550,7 @@ class TestClassPathAgainstTheDensePipeline:
         inst = build_instance(n, find_progression(A, m))
         union = union_Y_mask(inst)
         last = np.unravel_index(np.flatnonzero(union)[-1], union.shape)
-        real_shapes, real_field = generate_shapes, maximal_field
+        real_walk, real_field = dyadicmax.verify.bounded_tuples, maximal_field
 
         def family_cut(mask, shapes):
             shapes = list(shapes)
@@ -544,8 +564,13 @@ class TestClassPathAgainstTheDensePipeline:
             return AverageField(fld.grid, (first, *fld.rows[1:]), fld.index, fld.denom_exp)
 
         if cut == "first_shape":
+            # the generator walk keeps its first tuple; the index walk,
+            # over range(m), stays whole
             monkeypatch.setattr(
-                dyadicmax.verify, "generate_shapes", lambda n, A: real_shapes(n, A)[:1]
+                dyadicmax.verify, "bounded_tuples",
+                lambda values, k, bound: real_walk(values, k, bound)[
+                    : None if isinstance(values, range) else 1
+                ],
             )
         else:
             monkeypatch.setattr(dyadicmax.verify, "maximal_field", family_cut)
@@ -553,10 +578,7 @@ class TestClassPathAgainstTheDensePipeline:
         checks = (rep.homogeneity_ok, rep.disjointness_ok, rep.inclusion_ok)
         assert checks == (True, True, False)
         mask_E = rasterize(inst.E, inst.grid)
-        used = [
-            s for s in dyadicmax.verify.generate_shapes(n, A)
-            if inst.grid.compatible_shape(s)
-        ]
+        used = naive_generators(n, A, inst.grid)[: 1 if cut == "first_shape" else None]
         fld = dyadicmax.verify.maximal_field(mask_E, used)
         lvl = superlevel_mask(fld, DyadicRational.pow2(-(m - 1)))
         assert (union & ~lvl).any()
@@ -594,7 +616,7 @@ class TestClassPathAgainstTheDensePipeline:
         checks = (rep.homogeneity_ok, rep.disjointness_ok, rep.inclusion_ok)
         assert checks == (True, True, False)
         mask_E = rasterize(inst.E, inst.grid)
-        used = [s for s in generate_shapes(n, A) if inst.grid.compatible_shape(s)]
+        used = naive_generators(n, A, inst.grid)
         lvl = superlevel_mask(cut(mask_E, used), DyadicRational.pow2(-(m - 1)))
         assert lvl[union_Y_mask(inst)].all()
 
@@ -1016,13 +1038,11 @@ def step_one_union(n, A, m, budget=DEFAULT_CELL_BUDGET):
     2^-(m-1) on the union of the anchored windows of the generators that
     fit the grid and 0 elsewhere.  Both superlevel sets and the union of
     the Y(i) are then the anchored union of those generators, selected
-    by the same filter as `verify_theorem`.  Returns the instance and
-    that union's measure; nothing is rasterized."""
+    by the naive product filter.  Returns the instance and that union's
+    measure; nothing is rasterized."""
     A = sorted(set(A))
     inst = build_instance(n, find_progression(A, m), budget)
-    lo, hi = inst.grid.resolution[0], inst.grid.extent[0]
-    fitting = {a for a in A if lo <= a <= hi}
-    used = [s for s in generate_shapes(n, fitting) if inst.grid.compatible_shape(s)]
+    used = naive_generators(n, A, inst.grid)
     return inst, anchored_union_measure(used).union
 
 
