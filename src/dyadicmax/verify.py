@@ -29,12 +29,13 @@ the R(i) field over Y(i), and the inclusion (the family field's term of
 R(i), its rows named by the table, over Y(i)), factor by factor, and
 refuses terms and masks of any other layout.  S and S_alt are
 superlevel measures of the family field, counted over its value
-classes (`superlevel_measure`).  The union of the R(i) and that of the
-Y(i) are both measured as unions of anchored boxes
-(`anchored_union_measure`); `check_disjointness` says why the Y(i) are
-such boxes, and reads only the union of the second.  A passing
-`verify_theorem` builds no array of the grid's size; the cell budget
-still counts the grid's cells.
+classes (`superlevel_measure`).  The R(i) and the Y(i) are both
+anchored boxes indexed by the simplex sum(i) <= m-1, box i ranking
+(i, m-1-sum(i)) among each axis's distinct sides, so their unions and
+each R(i)'s private volume are counted over the simplex
+(`_simplex_union`); `check_disjointness` says why the Y(i) are such
+boxes.  A passing `verify_theorem` builds no array of the grid's size;
+the cell budget still counts the grid's cells.
 
 The indices i and the family's generators that fit the grid are both
 walked, not filtered from a product (`bounded_tuples`): the indices
@@ -84,7 +85,6 @@ from .evaluator import (
     BitMask,
     GridSpec,
     _count_threshold,
-    anchored_union_measure,
     check_budget,
     maximal_field,
     rasterize,
@@ -252,10 +252,47 @@ class DisjointnessResult:
     passed: bool
 
 
+def _simplex_union(indices, sides, m: int):
+    """The measure of the union of anchored boxes [0, 2^e_1] x ..., one
+    per index i of the simplex sum(i) <= m-1 with exponents `sides`, and
+    each box's private volume, the part that no other box covers.
+
+    On each axis the distinct exponents e_0 < ... < e_(m-1) cut [0, 2^e]
+    into compressed cells of widths w(0) = 1 and w(k) = 2^(e_k-e_0) -
+    2^(e_(k-1)-e_0), in units of 2^e_0.  Box i must rank (i_1, ...,
+    i_(n-1), m-1-sum(i)) on the axes, or `ConstructionError` is raised,
+    so it covers the compressed cell (c, r) iff i >= c componentwise and
+    sum(i) <= m-1-r.  Some box does iff sum(c) + r <= m-1 (take i = c),
+    so the union is the sum over sigma + r <= m-1 of P[sigma] w_Z(r),
+    P the product of the X axes' width polynomials sum_k w(k) x^k cut at
+    degree m-1.  Only i = c covers a cell with sum(c) + r = m-1, and two
+    boxes (c and c + a unit vector) cover any other covered cell, so box
+    i's private volume is prod_k w_k(i_k) w_Z(m-1-sum(i))."""
+    ranks = [i + (m - 1 - sum(i),) for i in indices]
+    widths, unit = [], 0
+    for axis, col in enumerate(zip(*sides)):
+        exps = sorted(set(col))
+        for i, r, e in zip(indices, ranks, col):
+            if exps.index(e) != r[axis]:
+                raise ConstructionError(f"box {i} leaves the simplex on axis {axis}")
+        edges = [0] + [1 << (e - exps[0]) for e in exps]
+        widths.append([b - a for a, b in zip(edges, edges[1:])])
+        unit += exps[0]
+    *xs, z = widths
+    P = [1] + [0] * (m - 1)
+    for w in xs:
+        P = [sum(P[j] * w[s - j] for j in range(s + 1)) for s in range(m)]
+    union = sum(P[s] * z[r] for s in range(m) for r in range(m - s))
+    private = [DyadicRational(math.prod(w[k] for w, k in zip(widths, r)), unit) for r in ranks]
+    return DyadicRational(union, unit), private
+
+
 def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     """Independence of the primitive rectangles plus the exact overlap
-    ratio of the union of the Y(i), both measured as unions of anchored
-    boxes (`anchored_union_measure`).
+    ratio of the union of the Y(i), both counted over the simplex of the
+    indices (`_simplex_union`): each R(i) is the anchored box of its
+    exponents and min_delta the least share of a box's volume that is
+    private.
 
     On each grid axis the Y(i)'s rasterized factors must form a chain,
     each a subset of the next by set-cell count, or `ConstructionError`
@@ -263,24 +300,20 @@ def check_disjointness(instance: TheoremInstance) -> DisjointnessResult:
     cell lies in Y(i) iff on every axis its rank is at most that of
     Y(i)'s factor.  A link's measure is 2^e, e its crystal's measure
     exponent (`Crystal1D.cells` checks the count), so ∪Y(i) measures as
-    the union of the anchored boxes [0, 2^e_1] x ... of the Y(i), whose
-    compressed cells are exactly the differences of consecutive links.
-    Only that union is read, so no Y(i)'s private volume is built."""
-    shapes = [instance.R[i] for i in instance.indices]
-    au = anchored_union_measure(shapes)
+    the union of the anchored boxes [0, 2^e_1] x ... of the Y(i)."""
+    idx = instance.indices
+    shapes = [instance.R[i] for i in idx]
+    _, private = _simplex_union(idx, [s.exponents for s in shapes], instance.m)
     min_delta = min(
-        diff.as_fraction() / s.volume().as_fraction()
-        for diff, s in zip(au.differences, shapes)
+        p.as_fraction() / s.volume().as_fraction() for p, s in zip(private, shapes)
     )
     masks = [rasterize(instance.Y[i], instance.grid) for i in instance.indices]
     for axis in zip(*(y.factors for y in masks)):
         chain = sorted({id(f): f for f in axis}.values(), key=np.count_nonzero)
         if any((a > b).any() for a, b in zip(chain, chain[1:])):
             raise ConstructionError("the Y(i) are not nested on every axis")
-    union_Y = anchored_union_measure(
-        Shape(tuple(c.measure_exponent for c in instance.Y[i].factors))
-        for i in instance.indices
-    ).union
+    sides = [tuple(c.measure_exponent for c in instance.Y[i].factors) for i in idx]
+    union_Y, _ = _simplex_union(idx, sides, instance.m)
     sum_Y = sum(
         (crystal_measure(instance.Y[i]) for i in instance.indices),
         DyadicRational(0, 0),

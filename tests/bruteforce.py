@@ -1,17 +1,24 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive (nested loops, direct enumeration)
-and shares no code path with the implementations it checks.
+and shares no code path with the implementations it checks, except
+`anchored_union_measure`, the general union of anchored boxes over a
+compressed grid: the tests check it against `naive_anchored_union`, and
+it is the oracle of the simplex count in `dyadicmax.verify`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
 
 from dyadicmax.crystal import Shape
+from dyadicmax.dyadic import DyadicRational
+from dyadicmax.errors import ParameterError
 
 
 def naive_box_sum(mask: np.ndarray, lo, hi) -> int:
@@ -85,6 +92,57 @@ def naive_anchored_union(shapes) -> Fraction:
                 vol *= widths[j][i]
             total += vol
     return total
+
+
+@dataclass(frozen=True, eq=False)
+class AnchoredUnion:
+    union: DyadicRational
+    # the compressed grid (`anchored_union_measure`): each cell's volume
+    # in units of 2^unit, the number of boxes covering it, the boxes, unit
+    cells: tuple = field(repr=False)
+
+    @cached_property
+    def differences(self) -> tuple[DyadicRational, ...]:
+        """Each |R_i \\ union of the others|, read from the compressed grid
+        when first asked for: the volume of box i's cells that no other
+        box covers.  A caller that reads only the union builds none."""
+        volume, count, boxes, unit = self.cells
+        return tuple(DyadicRational(int(volume[b][count[b] == 1].sum()), unit) for b in boxes)
+
+
+def anchored_union_measure(shapes) -> AnchoredUnion:
+    """Exact measure of the union of anchored boxes [0, 2^e_1] x ...,
+    plus each |R_i \\ union of the other boxes| once it is read
+    (`AnchoredUnion.differences`).
+
+    Each axis is compressed to its distinct exponents e_(0) < e_(1) < ...;
+    compressed cell k spans [2^e_(k-1), 2^e_(k)] (with 2^e_(-1) = 0) and
+    has an integer width in units of 2^e_(0).  A box covers the leading
+    cells up to its own exponent on every axis.  One grid counts the
+    boxes covering each cell: the union is the volume of the cells
+    counted at least once, and the part of box i outside the others is
+    the volume of its cells counted exactly once.  Volumes are products
+    of the widths in Python ints.  No shapes give the empty grid of one
+    cell, which no box covers."""
+    shapes = list(shapes)
+    if len({len(s) for s in shapes}) > 1:
+        raise ParameterError("shapes must share a dimension")
+    ranks, widths, unit = [], [], 0
+    for col in zip(*(s.exponents for s in shapes)):
+        exps = sorted(set(col))
+        edges = [0] + [1 << (e - exps[0]) for e in exps]
+        widths.append(
+            np.array([b - a for a, b in zip(edges, edges[1:])], dtype=object)
+        )
+        ranks.append([exps.index(e) for e in col])
+        unit += exps[0]
+    volume = reduce(np.multiply.outer, widths, np.ones((), object))
+    count = np.zeros(volume.shape, dtype=np.intp)
+    boxes = tuple(tuple(slice(0, k + 1) for k in r) for r in zip(*ranks))
+    for box in boxes:
+        count[box] += 1
+    union = DyadicRational(int(volume[count > 0].sum()), unit)
+    return AnchoredUnion(union, (volume, count, boxes, unit))
 
 
 def contained_anchored_rectangles(mask: np.ndarray, res, extent):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bruteforce import (
+    anchored_union_measure,
     naive_anchored_union,
     naive_box_sum,
     naive_generators,
@@ -30,7 +31,6 @@ from dyadicmax.evaluator import (
     BitMask,
     GridSpec,
     _support_box,
-    anchored_union_measure,
     maximal_field,
     prefix_sums,
     rasterize,

@@ -30,7 +30,6 @@ from dyadicmax.evaluator import (
     AverageField,
     BitMask,
     GridSpec,
-    anchored_union_measure,
     maximal_field,
     rasterize,
     superlevel_mask,
@@ -39,6 +38,7 @@ from dyadicmax.evaluator import (
 from dyadicmax.verify import (
     CSV_COLUMNS,
     _first_below,
+    _simplex_union,
     build_instance,
     check_disjointness,
     check_homogeneity,
@@ -46,7 +46,7 @@ from dyadicmax.verify import (
     fraction_decimal,
     verify_theorem,
 )
-from bruteforce import naive_generators, naive_indices
+from bruteforce import anchored_union_measure, naive_generators, naive_indices
 from dyadicmax.family import find_progression
 from dense_theorem import dense_theorem, homogeneity, union_Y_mask
 from test_evaluator import small_instances
@@ -252,6 +252,11 @@ class TestHomogeneity:
             check_homogeneity(inst, i, mask_E)
 
 
+def Y_boxes(inst):
+    """The anchored box of each Y(i): its factors' measure exponents."""
+    return [Shape(tuple(c.measure_exponent for c in inst.Y[i].factors)) for i in inst.indices]
+
+
 def lacking_part_of_E(inst, i):
     """Y(i) with its first axis cut to the crystal over u without its
     last scale: a product crystal that, on a step of 2 or more, misses
@@ -281,9 +286,17 @@ class TestHomogeneityOnProductMasks:
             )
         mask_E = rasterize(inst.E, inst.grid)
         got = [check_homogeneity(inst, i, mask_E) for i in inst.indices]
-        union_Y = check_disjointness(inst).union_Y
         assert got == [homogeneity(inst, i, mask_E) for i in inst.indices]
-        assert union_Y == BitMask(inst.grid, (union_Y_mask(inst),)).measure()
+        # the tampered R(i) or Y(i) leave the simplex's ranks, so only the
+        # oracle measures their union; the Y(i) still nest on every axis,
+        # so it is the union of their anchored boxes
+        union_Y = BitMask(inst.grid, (union_Y_mask(inst),)).measure()
+        assert anchored_union_measure(Y_boxes(inst)).union == union_Y
+        if variant == "built":
+            assert check_disjointness(inst).union_Y == union_Y
+        else:
+            with pytest.raises(ConstructionError, match="leaves the simplex"):
+                check_disjointness(inst)
         if variant == "one_cell_R":
             assert not any(r.passed for r in got)
         # the first failing cell in C order, found on the dense grid
@@ -400,6 +413,86 @@ class TestDisjointness:
         bad = dataclasses.replace(inst, Y={**inst.Y, (0,): odd})
         with pytest.raises(ConstructionError, match="not nested"):
             check_disjointness(bad)
+
+    def test_R_leaving_the_simplex_raises(self):
+        # R((1,)) = [0, 2] x [0, 1/2] grown to [0, 2] x [0, 1], the height
+        # of R((0,)), which it then holds: the last axis has two distinct
+        # exponents for three boxes, so no box keeps the rank m-1-sum(i)
+        inst = build_instance(2, range(3))
+        bad = dataclasses.replace(inst, R={**inst.R, (1,): Shape((1, 0))})
+        with pytest.raises(ConstructionError, match="leaves the simplex"):
+            check_disjointness(bad)
+
+    # the oracle's compressed grid has at most 6^5 cells
+    @given(
+        n=st.integers(2, 5), d=st.integers(1, 3), m=st.integers(2, 6), u0=st.integers(-4, 4)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_simplex_count_against_the_oracle(self, n, d, m, u0):
+        inst = build_instance(n, range(u0, u0 + m * d, d), budget=1 << 200)
+        for boxes in ([inst.R[i] for i in inst.indices], Y_boxes(inst)):
+            union, private = _simplex_union(inst.indices, [b.exponents for b in boxes], m)
+            au = anchored_union_measure(boxes)
+            assert union == au.union
+            assert private == list(au.differences)
+
+    def test_past_the_dense_frontier_builds_no_compressed_grid(self):
+        # n = 24, m = 2: the general union's compressed grid has 2^24
+        # cells, and building it took over 500 MB of traced allocations
+        inst = build_instance(24, range(2))
+        tracemalloc.start()
+        try:
+            d = check_disjointness(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.passed and d.min_delta == Fraction(1, 2)
+        assert peak < 2 << 20, peak
+
+
+class TestMinDeltaClosedForm:
+    """min_delta = (1 - 2^-d)^min(n, m-1), proved for every n >= 2,
+    m >= 2 and step d, and checked through the simplex count.
+
+    R(i) = (u_(i_1), ..., u_(i_(n-1)), -h_(sum i)) with u_k = u_0 + kd
+    and h_s = (n-1) u_0 + sd.  On an X axis the exponents are
+    u_0 < ... < u_(m-1), so in units of 2^u_0 the compressed widths are
+    w(0) = 1 and w(k) = 2^(kd) - 2^((k-1)d), and R(i)'s side is 2^(i_k d).
+    On the last axis the exponents -h_(m-1) < ... < -h_0 are again d
+    apart, and R(i) has rank r = m-1-sum(i) there, its side 2^(rd) in
+    units of 2^-h_(m-1).  R(i)'s private volume is the product of the
+    widths at its ranks (`_simplex_union`), and w(k) / 2^(kd) is 1 for
+    k = 0 and 1 - 2^-d for k >= 1, so
+
+      δ(i) = (1 - 2^-d)^(|supp i| + [sum(i) < m-1]).
+
+    The least δ is at the largest exponent e(i) = |supp i| + [sum(i) <
+    m-1] over the simplex.  If n < m, e <= (n-1) + 1, and i = (1, ..., 1)
+    reaches it, its sum n-1 being below m-1.  Otherwise a support of m-1
+    forces sum(i) = m-1 and e = m-1, a smaller support gives e <= m-1,
+    and m-2 ones with sum m-2 reach m-1.  So the least δ is at
+    e = min(n, m-1).
+    """
+
+    @staticmethod
+    def closed_form(n, m, d):
+        return (1 - Fraction(1, 2**d)) ** min(n, m - 1)
+
+    # both n < m and n >= m, with axes of at most 2^15 cells
+    @given(
+        n=st.integers(2, 7), d=st.integers(1, 3), m=st.integers(2, 6), u0=st.integers(-5, 5)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_min_delta(self, n, d, m, u0):
+        inst = build_instance(n, range(u0, u0 + m * d, d), budget=1 << 200)
+        assert check_disjointness(inst).min_delta == self.closed_form(n, m, d)
+
+    @pytest.mark.parametrize(
+        "n, d, m, want", [(24, 1, 2, Fraction(1, 2)), (12, 2, 4, Fraction(27, 64))]
+    )
+    def test_past_the_dense_frontier(self, n, d, m, want):
+        inst = build_instance(n, range(0, m * d, d), budget=1 << 200)
+        assert check_disjointness(inst).min_delta == self.closed_form(n, m, d) == want
 
 
 class TestVerifyTheorem:
