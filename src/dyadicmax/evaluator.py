@@ -5,9 +5,10 @@ come from integer prefix sums.  A shape's field is the maximum over its
 cell-aligned in-box placements (`maximal_field` says why overhanging
 ones can be skipped), taken one axis at a time by doubling passes over
 the dyadic windows, and the maximal field is the maximum of its shape
-fields.  A shape's field is zero outside its reach, the cells of the
-placements that meet the mask's support box, so it is computed only
-there.  Every value is an integer numerator over a power-of-two
+fields.  Each factor of a shape's field is zero outside its reach, the
+cells of the placements whose window meets the factor's support (per
+axis, its first and last set cell), so it is computed only there.
+Every value is an integer numerator over a power-of-two
 denominator, so all comparisons and measures are exact.  The kernel
 works in, and returns its field in, the smallest unsigned integer type
 that holds the common numerator 2^D.
@@ -18,22 +19,23 @@ concatenate to the grid's: one array for an arbitrary set, or, as
 product crystal.  Each axis comes from the crystal's memo
 (`Crystal1D.cells`), built and checked against the halving law once
 per crystal, so `rasterize` checks no measure of its own, and crystals
-that share a factor object share its axis.  Measure, support box and
-the prefix tables (one per factor, in the kernel's type) are each one
+that share a factor object share its axis.  Measure, the prefix tables
+(one per factor, in the kernel's type) and the supports are each one
 formula over the factors, worked once per distinct factor object, and
 so is a shape's field: the outer product of its factors' fields.
 A field (`AverageField`) is held the same way, as the maximum over
 terms of the outer product of each term's factors, in one layout: per
 factor, a stack of its distinct arrays, and a table naming each term's
 row in each stack.  Within one `maximal_field` call each factor field
-is built once per factor object, window, reach and shift by one
+is built once per factor object, window and shift by one
 routine (`_factor_field`: one slice difference of the factor's prefix
 table per axis, then the doubling passes), as a row of that factor
 object's one read-only stack, zero outside the reach; a mask's axes
 that share a factor object share its stack.  Every mask
 gets one term per shape, so with 1D factors the kernel builds no
-grid-sized array.  An empty mask takes the general path, with the one
-cell at the origin as its support box.  A field's `num` and a mask's
+grid-sized array.  An empty factor takes the one cell at the origin as
+its support, and its rows are zero, so a mask with an empty factor gets
+a zero field by the same path.  A field's `num` and a mask's
 `values` are built on each read, so neither goes stale.  Masks and
 fields compare by identity.
 
@@ -278,23 +280,17 @@ def _shape_window(grid: GridSpec, shape: Shape) -> tuple[int, ...]:
     return tuple(1 << (a - r) for a, r in zip(shape.exponents, grid.resolution))
 
 
-def _support_box(mask: BitMask) -> list[tuple[int, int]]:
-    """Per axis, the first and last index of a set cell, from one `any`
-    reduction per axis of each distinct factor object; for an empty
-    mask, which counts zero everywhere, the one cell at the origin."""
-    def bounds(f):
-        out = []
-        for ax in range(f.ndim):
-            hits = f.any(axis=tuple(a for a in range(f.ndim) if a != ax)).nonzero()[0]
-            if not hits.size:
-                return None
-            out.append((int(hits[0]), int(hits[-1])))
-        return out
-
-    per_factor = _per_object(mask.factors, bounds)
-    if None in per_factor:
-        return [(0, 0)] * mask.grid.dimension
-    return [b for fb in per_factor for b in fb]
+def _support(f: np.ndarray) -> list[tuple[int, int]]:
+    """Per axis of a factor, the first and last index of a set cell, from
+    one `any` reduction per axis; for an empty factor, which counts zero
+    everywhere, the one cell at the origin."""
+    out = []
+    for ax in range(f.ndim):
+        hits = f.any(axis=tuple(a for a in range(f.ndim) if a != ax)).nonzero()[0]
+        if not hits.size:
+            return [(0, 0)] * f.ndim
+        out.append((int(hits[0]), int(hits[-1])))
+    return out
 
 
 def _factor_field(P: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
@@ -330,33 +326,35 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     the in-box placement at the clamped anchor clip(p, 0, N - w), which
     still contains the cell, so the maximum is unchanged.
 
-    Of those, only the anchors whose window meets the mask's support box
-    [lo, hi] are scanned: per axis, [a0, a1] = [max(0, lo - w + 1),
-    min(hi, N - w)], a nonempty range since lo <= hi <= N - 1.  This is
-    exact.  Counts are >= 0, and every anchor outside the crop counts 0,
-    since on some axis its window ends before lo or starts after hi.
-    Each cell of the shape's reach, the product of [a0, a1 + w), lies in
-    the window of a cropped anchor, so its maximum is taken over every
-    anchor that can count; a cell outside the reach sees only zero-count
-    placements.  So each shape's field is computed on its reach only.
-    An empty mask counts zero at every anchor, so any box is exact for
-    it: it takes the one cell at the origin, and its field is zero.
-
-    The kernel works per factor of the mask.  The cropped anchors form a
+    The kernel works per factor of the mask.  The in-box anchors form a
     product of per-axis ranges, and the count at anchor p is the product
     of its factors' counts, prod_f count_f(p_f) >= 0; so the maximum over
     the placements containing a cell is the product of the per-factor
-    maxima, and a shape's field on its reach is the outer product of its
-    factors' fields, each taken on the factor's own axes from the
-    factor's own prefix table.  Each shape is one term of the returned
-    field, in order: its row of the index table names its factors'
-    fields, each zero outside the reach.  A factor field depends only on
-    the factor, its window, its reach and, for the first factor, the
-    shift below, so it is built once per key in a call, by
-    `_factor_field` from the factor's prefix table, as one row of the
-    factor object's stack.  Each stack is zero-filled once and is
-    read-only: the n - 1 identical X axes of E share one, and a side
-    that several shapes share is one row of it.
+    maxima, and a shape's field is the outer product of its factors'
+    fields, each taken on the factor's own axes from the factor's own
+    prefix table.
+
+    Of a factor's anchors, only those whose window meets the factor's
+    support [lo, hi] are scanned: per axis, [a0, a1] = [max(0, lo - w + 1),
+    min(hi, N - w)], a nonempty range since lo <= hi <= N - 1.  This is
+    exact.  Counts are >= 0, and every anchor outside the crop counts 0,
+    since on some axis its window ends before lo or starts after hi.
+    Each cell of the factor's reach, the product of [a0, a1 + w), lies in
+    the window of a cropped anchor, so its maximum is taken over every
+    anchor that can count; a cell outside the reach sees only zero-count
+    placements.  So each factor field is computed on its reach only.  An
+    empty factor counts zero at every anchor, so any support is exact for
+    it: it takes the one cell at the origin, its fields are zero, and so
+    is every term it is a factor of.
+
+    Each shape is one term of the returned field, in order: its row of
+    the index table names its factors' fields, each zero outside its
+    reach.  A factor field depends only on the factor, its window and,
+    for the first factor, the shift below, so it is built once per key
+    in a call, by `_factor_field` from the factor's prefix table, as one
+    row of the factor object's stack.  Each stack is zero-filled once
+    and is read-only: the n - 1 identical X axes of E share one, and a
+    side that several shapes share is one row of it.
 
     Per axis, log2(w) doubling passes turn the M = a1 - a0 + 1 anchor
     counts into the M + w - 1 cell maxima of the reach (w is a power of
@@ -386,38 +384,31 @@ def maximal_field(mask: BitMask, shapes) -> AverageField:
     windows = [_shape_window(grid, s) for s in shapes]
     D = max(s.volume_exponent - grid.cell_volume_exponent for s in shapes)
     dt = np.min_scalar_type(1 << D)
-    box = _support_box(mask)
-    # per factor object, its fields by window, ends and shift: each one's
-    # row number in the factor's stack, the prefix entries its counts
-    # need and its reach
-    fields, layout, start = {}, [], 0
-    for f, P in zip(mask.factors, prefix_sums(mask, dt)):
-        layout.append((fields.setdefault(id(f), {}), P, slice(start, start + f.ndim)))
-        start += f.ndim
+    # per factor object, its prefix table and its fields' row numbers in
+    # its stack, by window on its axes and shift
+    fields = {id(f): (P, {}) for f, P in zip(mask.factors, prefix_sums(mask, dt))}
     table = []
     for shape, window in zip(shapes, windows):
-        # per axis the reach [a0, a1 + w) of the anchors [a0, a1] whose
-        # windows meet the support box; their counts need P[a0 : a1 + w + 1]
-        ends = tuple(
-            (max(0, lo - w + 1), min(hi, N - w) + w)
-            for (lo, hi), w, N in zip(box, window, grid.shape)
-        )
-        reach = tuple(slice(a, b) for a, b in ends)
-        crop = tuple(slice(a, b + 1) for a, b in ends)
         shift = D - (shape.volume_exponent - grid.cell_volume_exponent)
-        row = []
-        for built, P, ax in layout:
-            key = (window[ax], ends[ax], shift)
-            if key not in built:
-                built[key] = (len(built), P[crop[ax]], reach[ax])
-            row.append(built[key][0])
+        row, start = [], 0
+        for f in mask.factors:
+            built = fields[id(f)][1]
+            row.append(built.setdefault((window[start:start + f.ndim], shift), len(built)))
+            start += f.ndim
             shift = 0  # folded into the first factor only
         table.append(row)
 
     def stack(f):  # a factor object's fields, each zero outside its reach
-        rows = np.zeros((len(fields[id(f)]), *f.shape), dt)
-        for (w, _, shift), (k, P, reach) in fields[id(f)].items():
-            rows[k][reach] = _factor_field(P, w)
+        P, built = fields[id(f)]
+        support = _support(f)
+        rows = np.zeros((len(built), *f.shape), dt)
+        for (window, shift), k in built.items():
+            # per axis the reach [a0, a1 + w) of the anchors [a0, a1] whose
+            # windows meet the support; their counts need P[a0 : a1 + w + 1]
+            ends = [(max(0, lo - w + 1), min(hi, N - w) + w)
+                    for (lo, hi), w, N in zip(support, window, f.shape)]
+            reach = tuple(slice(a, b) for a, b in ends)
+            rows[k][reach] = _factor_field(P[tuple(slice(a, b + 1) for a, b in ends)], window)
             if shift:
                 rows[k] <<= shift  # zeros stay zero
         rows.flags.writeable = False  # terms share its rows

@@ -492,12 +492,15 @@ def cube_counterexample(
     shapes 0..m: averages, containing placements and exponents all split
     per axis, and a maximum of products of nonnegative factors is the
     product of the maxima: a field of one term on the n-D grid.  Only the
-    2^m-cell axis is materialized; the budget still counts the n-D grid."""
+    2^m-cell axis and its field's stack, m + 1 rows of 2^m cells, are
+    materialized; the budget counts the larger of the n-D grid and that
+    stack, which is the larger only at n = 1."""
     t0 = time.perf_counter()
     n, m = index(n), index(m)
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 and m >= 1")
-    check_budget(n * m, budget)  # the n-D grid's 2^(nm) cells
+    # the n-D grid's 2^(nm) cells, or the stack's (m + 1) 2^m < 2^(m + bits(m))
+    check_budget(max(n * m, m + m.bit_length()), budget)
     unit = product_crystal(ScaleSet((0,)))
     mask = rasterize(unit, GridSpec((0,), (m,), budget))
     fld = maximal_field(mask, [Shape((a,)) for a in range(m + 1)])

@@ -30,7 +30,7 @@ from dyadicmax.evaluator import (
     AverageField,
     BitMask,
     GridSpec,
-    _support_box,
+    _support,
     maximal_field,
     prefix_sums,
     rasterize,
@@ -287,7 +287,7 @@ class TestBitMaskContract:
     # an int mask's field would disagree with its own popcount measure
     @example(case=(GridSpec((0,), (2,)), (np.array([1, 0, 2, 0]),)))
     # the right cell count split the wrong way, and the right shapes with
-    # a 0-d factor, which has no axis to read a support box from
+    # a 0-d factor, which has no axis to read a support from
     @example(case=(GridSpec((0, 0), (1, 2)), (np.ones(4, bool), np.ones(2, bool))))
     @example(case=(GridSpec((0,), (1,)), (np.ones(2, bool), np.array(True))))
     # a bare 2 x 2 array: iterated, its rows would pass as two 1D factors
@@ -485,39 +485,62 @@ def factored_masks(draw):
     return grid, masks, [Shape(r) for r in rects], ndims
 
 
+def _empty_beside_set_case():
+    """An empty 1D factor beside a 2D factor whose set cells lie away from
+    the origin: the mask is empty, but the set factor's support is not
+    the origin cell."""
+    grid = GridSpec((0, 0, 0), (1, 2, 1))
+    z = np.zeros((4, 2), bool)
+    z[2:, 1] = True
+    mask = BitMask(grid, (np.zeros(2, bool), z))
+    return grid, [mask], [Shape((1, 1, 0)), Shape((0, 2, 1)), Shape((0, 0, 0))], (1, 2)
+
+
 class TestFactoredMaskAnswers:
     """A mask of several factors, rasterized or mixed, answers its
-    measure, its support box, its prefix table and its maximal field
-    from its factors, and builds its values only when they are read; its
-    field holds one term per shape, the empty mask's included, laid out
-    like the mask's factors.
+    measure, its factors' supports, its prefix table and its maximal
+    field from its factors, and builds its values only when they are
+    read; its field holds one term per shape, the empty mask's included,
+    laid out like the mask's factors.
     Its dense copy, its own single factor, answers from the grid with one
     term per shape too, and is the oracle."""
 
     @given(case=factored_masks())
+    @example(case=_empty_beside_set_case())
     @settings(max_examples=60, deadline=None)
     def test_against_the_dense_copy(self, case):
         grid, masks, shapes, ndims = case
         for mask in masks:
-            measure, box = mask.measure(), _support_box(mask)
+            measure, supports = mask.measure(), [_support(f) for f in mask.factors]
             table, fld = whole_table(mask), maximal_field(mask, shapes)
             assert "values" not in vars(mask)  # all read from the factors
             assert fld.index.shape == (len(shapes), len(mask.factors))
             assert [r.shape[1:] for r in fld.rows] == [f.shape for f in mask.factors]
             dense = BitMask(grid, (mask.values.copy(),))
-            assert measure == mask.measure() and box == _support_box(mask)
+            assert measure == mask.measure()
+            assert supports == [_support(f) for f in mask.factors]
             assert tuple(f.ndim for f in mask.factors) == ndims
             assert len(dense.factors) == 1
             count = int(np.count_nonzero(mask.values))
             assert mask.measure() == dense.measure() == DyadicRational(
                 count, grid.cell_volume_exponent
             )
-            assert _support_box(mask) == _support_box(dense)
+            # a non-empty mask's per-axis bounds are its factors' supports
+            # joined; an empty factor, like the empty dense copy, takes the
+            # origin cell
+            bounds, start = _support(dense.factors[0]), 0
+            for f, support in zip(mask.factors, supports):
+                if f.any() == (count > 0):
+                    assert support == bounds[start:start + f.ndim]
+                start += f.ndim
             assert np.array_equal(table, whole_table(dense))
             want = maximal_field(dense, shapes)
             assert want.index.shape == (len(shapes), 1)
             assert fld.num.dtype == want.num.dtype and fld.denom_exp == want.denom_exp
             assert np.array_equal(fld.num, want.num)
+            D = fld.denom_exp
+            ts = [DyadicRational(0, 0), DyadicRational(1, -D), DyadicRational.pow2(-1)]
+            assert superlevel_measure(fld, *ts) == superlevel_measure(want, *ts)
 
 
 @st.composite

@@ -873,6 +873,20 @@ class TestCubeCounterexample:
                 tracemalloc.stop()
             assert peak < 1 << 20
 
+    def test_n1_budget_counts_the_field_stack(self):
+        # at n = 1 the 1D field's stack of m + 1 rows of 2^m cells outgrows
+        # the 2^m-cell grid: m = 29 needs 30 * 2^29 cells, past the default
+        # budget, and is refused before the stack is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                cube_counterexample(1, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert cube_counterexample(1, 4).passed
+
     @pytest.mark.parametrize(
         "n, m", [(n, m) for n in (1, 2, 3) for m in range(1, 16 // n + 1)]
     )
